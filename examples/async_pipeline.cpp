@@ -2,12 +2,15 @@
 // and two ping-ponged streams -- the production-traffic shape the runtime
 // is built for.
 //
-// A BatchQueue coalesces several requests into ONE sharded grid launch
-// (one copy-in, one launch, one copy-out instead of one each per request),
-// and alternating two streams over disjoint staging buffers lets batch
-// N+1's copy-in overlap batch N's execution on the scheduler's modeled
-// engines -- double-buffered staging. The scheduler timeline at the end
-// shows the modeled gain over executing every command back to back.
+// Each batch of requests is coalesced into ONE sharded grid launch: one
+// copy-in of the concatenated inputs, one launch over every request's
+// elements, one copy-out (instead of one of each per request). Request j
+// of a batch owns tids [j*m, (j+1)*m), the %tid thread-base sharding the
+// runtime already applies across rounds and cores. Alternating two streams
+// over disjoint staging buffers lets batch N+1's copy-in overlap batch N's
+// execution on the scheduler's modeled engines -- double-buffered staging.
+// The scheduler timeline at the end shows the modeled gain over executing
+// every command back to back.
 //
 // Build & run:  ./example_async_pipeline
 #include <cstdio>
@@ -15,7 +18,6 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scheduler.hpp"
@@ -33,6 +35,7 @@ int main() {
   constexpr unsigned kRequestWords = 128;  // elements per request
   constexpr unsigned kBatch = 4;           // requests per coalesced launch
   constexpr unsigned kRequests = 24;
+  static_assert(kRequests % kBatch == 0, "every batch is full");
 
   // Double buffer: each stream owns its own in/out staging area.
   auto& stream_a = dev.stream();
@@ -43,54 +46,53 @@ int main() {
   auto out_b = dev.alloc<std::uint32_t>(kRequestWords * kBatch, 16);
 
   // Elementwise request kernel: out[tid] = 5 * in[tid] + 1. ONE module
-  // serves both ping-pong queues -- the kernel ABI binds each queue's
-  // staging buffers (and the scale/offset scalars) at flush time, so the
-  // source is assembled once no matter how many queues serve it.
+  // serves both ping-pong streams -- the kernel ABI binds each stream's
+  // staging buffers (and the scale/offset scalars) at launch time, so the
+  // source is assembled once no matter how many streams serve it.
   auto& mod = dev.load_module(kernels::scale_abi());
   const auto kernel = mod.kernel("scale");
 
-  runtime::BatchQueue queue_a(
-      stream_a, kernel, in_a, out_a, kRequestWords,
-      runtime::KernelArgs().arg(in_a).arg(out_a).scalar(5).scalar(1));
-  runtime::BatchQueue queue_b(
-      stream_b, kernel, in_b, out_b, kRequestWords,
-      runtime::KernelArgs().arg(in_b).arg(out_b).scalar(5).scalar(1));
-
-  // Submit the request traffic: batches alternate between the two queues,
+  // Serve the request traffic: batches alternate between the two streams,
   // so the scheduler can stage one batch while the other executes.
-  std::vector<runtime::BatchQueue::Ticket> tickets(kRequests);
-  for (unsigned r = 0; r < kRequests; ++r) {
-    std::vector<std::uint32_t> request(kRequestWords);
-    for (unsigned i = 0; i < kRequestWords; ++i) {
-      request[i] = r * 1000 + i;
+  std::vector<std::uint32_t> results(kRequests * kRequestWords);
+  std::vector<std::uint32_t> batch;
+  for (unsigned b = 0; b < kRequests / kBatch; ++b) {
+    const bool on_a = b % 2 == 0;
+    auto& stream = on_a ? stream_a : stream_b;
+    auto& in = on_a ? in_a : in_b;
+    auto& out = on_a ? out_a : out_b;
+    batch.clear();
+    for (unsigned r = b * kBatch; r < (b + 1) * kBatch; ++r) {
+      for (unsigned i = 0; i < kRequestWords; ++i) {
+        batch.push_back(r * 1000 + i);
+      }
     }
-    auto& queue = (r / kBatch) % 2 == 0 ? queue_a : queue_b;
-    tickets[r] = queue.submit(std::span<const std::uint32_t>(request));
+    stream.copy_in(in, std::span<const std::uint32_t>(batch));
+    stream.launch(kernel, kBatch * kRequestWords,
+                  runtime::KernelArgs().arg(in).arg(out).scalar(5).scalar(1));
+    stream.copy_out(out, std::span<std::uint32_t>(results).subspan(
+                             b * kBatch * kRequestWords,
+                             kBatch * kRequestWords));
   }
-  queue_a.flush();
-  queue_b.flush();
   stream_a.synchronize();
   stream_b.synchronize();
 
   // Validate every request's slice of the batched results.
   for (unsigned r = 0; r < kRequests; ++r) {
-    const auto result = tickets[r].result();
     for (unsigned i = 0; i < kRequestWords; ++i) {
+      const std::uint32_t got = results[r * kRequestWords + i];
       const std::uint32_t want = 5 * (r * 1000 + i) + 1;
-      if (result[i] != want) {
-        std::printf("FAIL: request %u elem %u: %u != %u\n", r, i, result[i],
+      if (got != want) {
+        std::printf("MISMATCH: request %u elem %u: %u != %u\n", r, i, got,
                     want);
         return 1;
       }
     }
   }
 
-  const auto batches = queue_a.stats().batches + queue_b.stats().batches;
-  const auto saved = queue_a.stats().launches_saved() +
-                     queue_b.stats().launches_saved();
   const auto t = dev.scheduler().timeline();
-  std::printf("served %u requests in %u coalesced launches "
-              "(%u launches saved)\n", kRequests, batches, saved);
+  std::printf("served %u requests in %u coalesced launches\n", kRequests,
+              kRequests / kBatch);
   std::printf("one shared module: %llu assembly, %llu cache hits\n",
               static_cast<unsigned long long>(dev.module_cache_misses()),
               static_cast<unsigned long long>(dev.module_cache_hits()));

@@ -68,8 +68,8 @@ std::string saxpy_abi(unsigned q);
 std::string fir_abi(unsigned taps, unsigned q);
 
 /// out[i] = mul * in[i] + add. Kernel "scale"; params (in, out: buffer;
-/// mul, add: scalar) -- the elementwise request-serving shape BatchQueue
-/// expects.
+/// mul, add: scalar) -- the elementwise request-serving shape, so several
+/// requests coalesce into one launch over concatenated inputs.
 std::string scale_abi();
 
 /// out[i] = mul * in[i] + add, computed through the loader prologue

@@ -113,7 +113,6 @@ GraphExec Graph::instantiate() const {
 
   auto state = std::make_shared<GraphExec::State>();
   state->dev = dev_;
-  state->origin = this;
   state->staging_words_per_cycle = dev_->descriptor().staging_words_per_cycle;
 
   // Copy the DAG, fusing as we go: a copy-in whose only dependency is the
@@ -263,10 +262,6 @@ Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
   }
 
   auto event_state = std::make_shared<EventState>();
-  // Replay events carry the source graph's identity (captured stays
-  // false: this event resolves normally) so captured-batch results can
-  // check they are paired with a replay of their own graph.
-  event_state->capture_graph = state->origin;
   auto agg = std::make_shared<LaunchStats>();
   agg->exited = true;
 

@@ -220,10 +220,6 @@ class GraphExec {
   };
   struct State {
     Device* dev = nullptr;
-    /// Identity of the Graph this executable was instantiated from
-    /// (pointer compare only, never dereferenced); stamped onto replay
-    /// events so BatchQueue::Ticket::result_after can check linkage.
-    const void* origin = nullptr;
     std::vector<GraphNode> nodes;           ///< post-fusion DAG
     std::vector<LaunchPlan> plans;          ///< one per launch node
     std::vector<std::size_t> launch_nodes;  ///< node index per launch

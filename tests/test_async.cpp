@@ -1,8 +1,7 @@
 // Tests for the asynchronous execution engine: the device scheduler and its
 // modeled copy/exec timeline, multi-stream execution with cross-stream
-// event waits, Event hardening, BatchQueue request coalescing, the
-// multicore shard-map staging path, grid-split edge cases on every backend,
-// and MemoryPool alignment.
+// event waits, Event hardening, the multicore shard-map staging path,
+// grid-split edge cases on every backend, and MemoryPool alignment.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -11,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "kernels/kernels.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/module.hpp"
@@ -29,7 +27,7 @@ core::CoreConfig small_cfg(unsigned threads = 64, unsigned mem_words = 2048) {
   return c;
 }
 
-/// out[tid] = 3 * in[tid] + 7 -- the elementwise shape BatchQueue requires.
+/// out[tid] = 3 * in[tid] + 7 -- an elementwise request-serving kernel.
 std::string affine_kernel(std::uint32_t in_base, std::uint32_t out_base) {
   return "movsr %r0, %tid\n"
          "lds %r1, [%r0 + " + std::to_string(in_base) + "]\n"
@@ -116,7 +114,6 @@ TEST(Event, AccessorsThrowWhileInFlightAndResolveAfter) {
   dev.scheduler().pause();
   Event event = dev.stream().launch(mod.kernel(), 16);
   EXPECT_FALSE(event.done());
-  EXPECT_FALSE(event.complete());
   EXPECT_THROW(event.stats(), Error);
   EXPECT_THROW(event.wall_us(), Error);
   EXPECT_THROW(event.elapsed_us(), Error);
@@ -305,81 +302,6 @@ TEST(MultiStream, WaitOrdersAcrossStreams) {
   EXPECT_THROW(sa.wait(Event{}), Error);
   EXPECT_THROW(sa.wait(foreign), Error);
   other.stream().synchronize();
-}
-
-// ---- request batching ------------------------------------------------------
-
-TEST(BatchQueue, CoalescesRequestsIntoOneLaunch) {
-  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 2048)));
-  const unsigned m = 16;        // words per request
-  const unsigned capacity = 8;  // requests per batch
-  auto in = dev.alloc<std::uint32_t>(m * capacity);
-  auto out = dev.alloc<std::uint32_t>(m * capacity);
-  Module& mod = dev.load_module(affine_kernel(in.word_base(),
-                                              out.word_base()));
-
-  BatchQueue queue(dev.stream(), mod.kernel(), in, out, m);
-  EXPECT_EQ(queue.capacity(), capacity);
-
-  std::vector<BatchQueue::Ticket> tickets;
-  std::vector<std::vector<std::uint32_t>> inputs;
-  for (unsigned r = 0; r < 5; ++r) {
-    std::vector<std::uint32_t> req(m);
-    for (unsigned i = 0; i < m; ++i) {
-      req[i] = 100 * r + i;
-    }
-    inputs.push_back(req);
-    tickets.push_back(queue.submit(req));
-  }
-  EXPECT_EQ(queue.pending_requests(), 5u);
-  EXPECT_THROW(tickets[0].event(), Error);   // not flushed yet
-  EXPECT_THROW(tickets[0].result(), Error);
-
-  Event event = queue.flush();
-  dev.stream().synchronize();
-
-  ASSERT_TRUE(event.done());
-  EXPECT_TRUE(event.stats().exited);
-  EXPECT_EQ(queue.stats().requests, 5u);
-  EXPECT_EQ(queue.stats().batches, 1u);
-  EXPECT_EQ(queue.stats().launches_saved(), 4u);
-  for (unsigned r = 0; r < 5; ++r) {
-    ASSERT_TRUE(tickets[r].done());
-    const auto result = tickets[r].result();
-    ASSERT_EQ(result.size(), m);
-    for (unsigned i = 0; i < m; ++i) {
-      EXPECT_EQ(result[i], 3 * inputs[r][i] + 7) << r << ":" << i;
-    }
-  }
-}
-
-TEST(BatchQueue, AutoFlushesWhenFullAndValidates) {
-  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 1024)));
-  const unsigned m = 32;
-  auto in = dev.alloc<std::uint32_t>(m * 2);  // capacity 2
-  auto out = dev.alloc<std::uint32_t>(m * 2);
-  Module& mod = dev.load_module(affine_kernel(in.word_base(),
-                                              out.word_base()));
-  BatchQueue queue(dev.stream(), mod.kernel(), in, out, m);
-
-  const std::vector<std::uint32_t> req(m, 9);
-  auto t0 = queue.submit(req);
-  queue.submit(req);
-  EXPECT_EQ(queue.pending_requests(), 2u);
-  queue.submit(req);  // full: the first two flush automatically
-  EXPECT_EQ(queue.pending_requests(), 1u);
-  EXPECT_EQ(queue.stats().batches, 1u);
-  queue.flush();
-  dev.stream().synchronize();
-  EXPECT_EQ(queue.stats().batches, 2u);
-  EXPECT_EQ(t0.result()[0], 3u * 9u + 7u);
-
-  // Wrong request size and bad construction throw.
-  const std::vector<std::uint32_t> bad(m + 1, 0);
-  EXPECT_THROW(queue.submit(bad), Error);
-  EXPECT_THROW(BatchQueue(dev.stream(), mod.kernel(), in, out, 0), Error);
-  EXPECT_THROW(BatchQueue(dev.stream(), Kernel{}, in, out, m), Error);
-  EXPECT_THROW(BatchQueue(dev.stream(), mod.kernel(), in, out, m * 4), Error);
 }
 
 // ---- multicore shard-map staging -------------------------------------------

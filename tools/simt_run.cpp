@@ -24,8 +24,8 @@
 // alongside it. --deadline-us N arms a per-request deadline enforced by
 // the cluster watchdog. A file-less chaos demo needs nothing else:
 //
-//   simt-run --cluster 2 --requests 16 --fault-spec launch:transient:p=0.2 \
-//            --seed 7 --deadline-us 500000
+//   simt-run --cluster 2 --requests 16 --seed 7 --deadline-us 500000
+//            --fault-spec launch:transient:p=0.2
 //
 // --bit-accurate simulates lanes through the structural datapath models
 // (Mul33/shifter/LogicUnit) instead of the functional fast path; results
@@ -53,13 +53,18 @@
 // an execution graph and replays the instantiated graph N times,
 // reporting the modeled host-dispatch overhead of both paths.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -71,6 +76,32 @@
 #include "runtime/stream.hpp"
 
 namespace {
+
+/// Parse all of `text` as a T: no sign for unsigned types, no trailing
+/// characters, in range for T (and finite for floating point). On failure
+/// prints the usage error for `flag` and returns false.
+template <typename T>
+bool parse_number(const char* flag, std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(out);
+    if (!ok) {
+      std::fprintf(stderr, "simt-run: %s expects a number, got '%.*s'\n",
+                   flag, static_cast<int>(text.size()), text.data());
+    }
+  } else if (!ok) {
+    std::fprintf(stderr,
+                 "simt-run: %s expects an integer in [0, %llu], got "
+                 "'%.*s'\n",
+                 flag,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()),
+                 static_cast<int>(text.size()), text.data());
+  }
+  return ok;
+}
 
 /// `--cluster N` serving loop: a built-in scale workload over N devices,
 /// optionally under a seeded fault storm with deadlines armed.
@@ -359,59 +390,70 @@ int main(int argc, char** argv) {
   // `--cluster` needs no kernel file; flags may start at argv[1].
   const bool no_file = argv[1][0] == '-';
   for (int i = no_file ? 1 : 2; i < argc; ++i) {
+    const char* flag = argv[i];
+    bool ok = true;
+    // Consume the next argument as `flag`'s numeric value.
+    const auto next = [&](auto& out) {
+      ok = ok && parse_number(flag, argv[++i], out);
+    };
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(threads);
     } else if (!std::strcmp(argv[i], "--backend") && i + 1 < argc) {
       backend = argv[++i];
     } else if (!std::strcmp(argv[i], "--cores") && i + 1 < argc) {
-      cores = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(cores);
     } else if (!std::strcmp(argv[i], "--batch") && i + 1 < argc) {
-      batch = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(batch);
     } else if (!std::strcmp(argv[i], "--streams") && i + 1 < argc) {
-      streams = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(streams);
     } else if (!std::strcmp(argv[i], "--graph-repeat") && i + 1 < argc) {
-      graph_repeat = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(graph_repeat);
     } else if (!std::strcmp(argv[i], "--cluster") && i + 1 < argc) {
-      cluster_n = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(cluster_n);
     } else if (!std::strcmp(argv[i], "--graph-streams") && i + 1 < argc) {
-      graph_streams = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(graph_streams);
     } else if (!std::strcmp(argv[i], "--qps") && i + 1 < argc) {
-      qps = std::stod(argv[++i]);
+      next(qps);
     } else if (!std::strcmp(argv[i], "--requests") && i + 1 < argc) {
-      requests = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(requests);
     } else if (!std::strcmp(argv[i], "--fault-spec") && i + 1 < argc) {
       fault_spec = argv[++i];
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      fault_seed = std::stoull(argv[++i]);
+      next(fault_seed);
     } else if (!std::strcmp(argv[i], "--deadline-us") && i + 1 < argc) {
-      deadline_us = std::stoull(argv[++i]);
+      next(deadline_us);
     } else if (!std::strcmp(argv[i], "--fmax") && i + 1 < argc) {
-      fmax = std::stod(argv[++i]);
+      next(fmax);
     } else if (!std::strcmp(argv[i], "--kernel") && i + 1 < argc) {
       kernel_name = argv[++i];
     } else if (!std::strcmp(argv[i], "--arg") && i + 1 < argc) {
-      const std::string spec = argv[++i];
+      const std::string_view spec = argv[++i];
       const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        args.scalar(static_cast<std::uint32_t>(std::stoul(spec)));
+      std::uint32_t base = 0, size = 0;
+      if (colon == std::string_view::npos) {
+        ok = parse_number(flag, spec, base);
+        args.scalar(base);
       } else {
-        args.buffer(
-            static_cast<std::uint32_t>(std::stoul(spec.substr(0, colon))),
-            static_cast<std::uint32_t>(std::stoul(spec.substr(colon + 1))));
+        ok = parse_number(flag, spec.substr(0, colon), base) &&
+             parse_number(flag, spec.substr(colon + 1), size);
+        args.buffer(base, size);
       }
     } else if (!std::strcmp(argv[i], "--bit-accurate")) {
       bit_accurate = true;
     } else if (!std::strcmp(argv[i], "--no-simd-lanes")) {
       simd_lanes = false;
     } else if (!std::strcmp(argv[i], "--stage-workers") && i + 1 < argc) {
-      stage_workers = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(stage_workers);
     } else if (!std::strcmp(argv[i], "--mem") && i + 1 < argc) {
       mem_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
-      dump_base = static_cast<unsigned>(std::stoul(argv[++i]));
-      dump_count = static_cast<unsigned>(std::stoul(argv[++i]));
+      next(dump_base);
+      next(dump_count);
     } else {
       std::fprintf(stderr, "simt-run: unknown argument %s\n", argv[i]);
+      return 2;
+    }
+    if (!ok) {
       return 2;
     }
   }
