@@ -173,25 +173,17 @@ struct DeviceCluster::Request {
 };
 
 /// One plan pre-instantiated on one device: buffers, the canonical binding
-/// recipe, and replay_depth capture slots (each slot owns its GraphExec and
-/// the stable host storage its copy-out was frozen against).
+/// recipe, and the captured pipeline's GraphExec with the stable host
+/// storage its copy-out was frozen against.
 struct DeviceCluster::PlanEntry {
-  struct Slot {
-    rt::GraphExec exec;
-    std::vector<std::uint32_t> host_out;  ///< frozen copy-out destination
-    rt::Event event;                      ///< in-flight replay
-    Request req;                          ///< request the replay serves
-    bool busy = false;
-  };
-
+  rt::GraphExec exec;
+  std::vector<std::uint32_t> host_out;  ///< frozen copy-out destination
   std::uint32_t in_words = 0;
   std::uint32_t out_words = 0;
   /// The capture-time binding; per-request rebinds clone it and patch the
   /// overridden Scalar positions (KernelArgs itself is immutable).
   std::vector<rt::KernelArgs::Value> recipe;
   double est_us = 1.0;  ///< modeled cost of one replay (routing weight)
-  std::vector<Slot> slots;
-  std::size_t next_slot = 0;
   /// Probation canary: a deterministic payload and the golden output it
   /// produced at registration (fault injection disarmed). Re-admission
   /// requires the probe replay to reproduce it bit-exact.
@@ -216,11 +208,11 @@ struct DeviceCluster::DeviceState {
   unsigned consecutive_faults = 0;  ///< transients since the last success
   Clock::time_point quarantined_at{};
   bool probe_pending = false;  ///< watchdog asked the worker to probe
-  std::uint64_t inflight = 0;  ///< busy replay slots
+  std::uint64_t inflight = 0;  ///< replays issue() has launched, not finished
   double outstanding_us = 0.0; ///< modeled work routed but not completed
   double busy_us = 0.0;        ///< modeled time spent on completed replays
-  /// Watchdog's view of in-flight work: (ticket, deadline) per busy slot,
-  /// maintained under mu_ (the slots themselves are worker-thread state).
+  /// Watchdog's view of in-flight work: (ticket, deadline) per running
+  /// replay, maintained under mu_ (the replay itself runs on the worker).
   struct Inflight {
     std::shared_ptr<ClusterTicket::State> ticket;
     Clock::time_point deadline = kNoDeadline;
@@ -280,9 +272,6 @@ DeviceCluster::DeviceCluster(std::vector<rt::DeviceDescriptor> descs,
     : cfg_(cfg) {
   if (descs.empty()) {
     throw Error("DeviceCluster needs at least one device");
-  }
-  if (cfg_.replay_depth == 0) {
-    cfg_.replay_depth = 1;
   }
   if (!cfg_.fault_spec.empty()) {
     // Attach a per-device injector to every descriptor that does not
@@ -393,7 +382,6 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
       }
     }
     PlanEntry entry;
-    entry.slots.resize(cfg_.replay_depth);
     entry.verify = spec.verify;
 
     // Load + bind on this device. The module cache absorbs duplicate
@@ -430,38 +418,36 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
     }
     entry.recipe = canonical.values();
 
-    // Capture the request pipeline once per slot as a two-lane DAG on the
+    // Capture the request pipeline once as a two-lane DAG on the
     // device's default stream plus a dedicated staging stream (workers
     // only ever touch their per-tenant streams, so capture cannot
     // interleave with traffic): the stage lane copies the request in and
     // the primary lane launches off it, so every replay is ONE DAG submit
     // whose copy-in is priced on its own modeled DMA channel (see
-    // docs/serving.md). Each slot's copy-out freezes that slot's own
-    // host_out storage.
+    // docs/serving.md). The copy-out freezes the entry's host_out storage
+    // (its heap buffer survives the move into d.plans below).
     const std::vector<std::uint32_t> placeholder(entry.in_words, 0);
     auto& capture_stream = d.dev.stream();
     if (d.stage_stream == nullptr) {
       d.stage_stream = &d.dev.create_stream();
     }
-    for (auto& slot : entry.slots) {
-      slot.host_out.assign(entry.out_words, 0);
-      rt::Graph graph;
-      capture_stream.begin_capture(graph);
-      d.stage_stream->begin_capture(graph);  // joins as the stage lane
-      d.stage_stream->copy_in(in_buf,
-                              std::span<const std::uint32_t>(placeholder));
-      rt::Event staged = d.stage_stream->record();
-      capture_stream.wait(staged);  // DAG edge: launch waits on the stage
-      capture_stream.launch(kernel, spec.threads, canonical);
-      capture_stream.copy_out(out_buf, std::span<std::uint32_t>(slot.host_out));
-      d.stage_stream->end_capture();
-      capture_stream.end_capture();
-      slot.exec = graph.instantiate();
-    }
+    entry.host_out.assign(entry.out_words, 0);
+    rt::Graph graph;
+    capture_stream.begin_capture(graph);
+    d.stage_stream->begin_capture(graph);  // joins as the stage lane
+    d.stage_stream->copy_in(in_buf,
+                            std::span<const std::uint32_t>(placeholder));
+    rt::Event staged = d.stage_stream->record();
+    capture_stream.wait(staged);  // DAG edge: launch waits on the stage
+    capture_stream.launch(kernel, spec.threads, canonical);
+    capture_stream.copy_out(out_buf, std::span<std::uint32_t>(entry.host_out));
+    d.stage_stream->end_capture();
+    capture_stream.end_capture();
+    entry.exec = graph.instantiate();
 
     // Warmup replay: primes the resident image (a prologue kernel never
     // touches I-MEM again) and measures the routing cost estimate.
-    auto warm = entry.slots[0].exec.launch(capture_stream);
+    auto warm = entry.exec.launch(capture_stream);
     warm.wait();
     const auto& stats = warm.stats();
     entry.est_us = std::max(
@@ -477,10 +463,9 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
     }
     rt::GraphUpdates canary_updates;
     canary_updates.copy_in(0, entry.canary_in);
-    auto canary =
-        entry.slots[0].exec.launch(capture_stream, std::move(canary_updates));
+    auto canary = entry.exec.launch(capture_stream, std::move(canary_updates));
     canary.wait();
-    entry.canary_golden = entry.slots[0].host_out;
+    entry.canary_golden = entry.host_out;
 
     std::lock_guard<std::mutex> lock(mu_);
     d.plans[spec.name] = std::move(entry);
@@ -1067,7 +1052,7 @@ void DeviceCluster::watchdog_loop() {
         }
       }
       // Overdue in-flight work: the replay cannot be cancelled (it may be
-      // stalled inside the executor), but its ticket resolves NOW -- that
+      // stalled inside the worker's join), but its ticket resolves NOW -- that
       // is the no-hang guarantee. The worker discards the eventual result
       // (finish_ticket_locked is first-writer-wins) and the device is
       // flagged Degraded for taking too long.
@@ -1115,7 +1100,7 @@ void DeviceCluster::worker_loop(std::size_t device) {
   while (true) {
     std::unique_lock<std::mutex> lock(mu_);
     d.cv.wait(lock, [&] {
-      return stopping_ || d.probe_pending || d.inflight > 0 ||
+      return stopping_ || d.probe_pending ||
              (routable(d.health) && !d.queue.empty());
     });
 
@@ -1134,33 +1119,11 @@ void DeviceCluster::worker_loop(std::size_t device) {
       continue;
     }
 
-    if (d.inflight > 0) {
-      // Nothing to issue (or shutting down): resolve the oldest in-flight
-      // replay so its ticket does not wait for more traffic.
-      PlanEntry* entry = nullptr;
-      std::size_t slot = 0;
-      std::uint64_t oldest = ~0ull;
-      for (auto& [name, e] : d.plans) {
-        for (std::size_t s = 0; s < e.slots.size(); ++s) {
-          if (e.slots[s].busy && e.slots[s].req.admit_seq <= oldest) {
-            oldest = e.slots[s].req.admit_seq;
-            entry = &e;
-            slot = s;
-          }
-        }
-      }
-      lock.unlock();
-      if (entry) {
-        complete_slot(device, *entry, slot);
-      }
-      continue;
-    }
-
     if (stopping_) {
       return;
     }
     // Unroutable with an empty local queue: the queued work already failed
-    // over; sleep until a probe, a straggler completion, or shutdown.
+    // over; sleep until a probe or shutdown.
   }
 }
 
@@ -1181,13 +1144,6 @@ void DeviceCluster::issue(std::size_t device, Request req) {
       return;
     }
   }
-  auto& slot = entry->slots[entry->next_slot];
-  entry->next_slot = (entry->next_slot + 1) % entry->slots.size();
-  if (slot.busy) {
-    complete_slot(device, *entry,
-                  static_cast<std::size_t>(&slot - entry->slots.data()));
-  }
-
   // Per-tenant stream, created on first use (worker thread only).
   rt::Stream* stream;
   {
@@ -1206,11 +1162,12 @@ void DeviceCluster::issue(std::size_t device, Request req) {
     updates.args(0, build_args(entry->recipe, req.scalars));
   }
 
+  rt::Event event;
   try {
-    slot.event = slot.exec.launch(*stream, std::move(updates));
+    event = entry->exec.launch(*stream, std::move(updates));
   } catch (const Error& e) {
     // Submission-side validation failure (should not happen for a request
-    // submit() accepted) -- resolve the ticket rather than wedge the slot.
+    // submit() accepted) -- resolve the ticket rather than wedge the worker.
     std::lock_guard<std::mutex> lock(mu_);
     d.outstanding_us -= req.routed_est;
     finish_locked(req, RequestStatus::Failed, {}, e.what(),
@@ -1226,22 +1183,20 @@ void DeviceCluster::issue(std::size_t device, Request req) {
       watch_cv_.notify_all();
     }
   }
-  slot.req = std::move(req);
-  slot.busy = true;
+  complete(device, *entry, event, std::move(req));
 }
 
-void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
-                                  std::size_t slot_index) {
+void DeviceCluster::complete(std::size_t device, PlanEntry& entry,
+                             const rt::Event& event, Request req) {
   auto& d = *devices_[device];
-  auto& slot = entry.slots[slot_index];
 
   std::string fault;
   bool transient = false;
   bool corruption = false;
   double modeled_us = 0.0;
   try {
-    slot.event.wait();
-    const auto& stats = slot.event.stats();
+    event.wait();  // runs the replay on this worker thread
+    const auto& stats = event.stats();
     modeled_us =
         stats.overlap_wall_us > 0.0 ? stats.overlap_wall_us : stats.wall_us;
   } catch (const faults::TransientFault& e) {
@@ -1256,16 +1211,11 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
     }
   }
 
-  Request req = std::move(slot.req);
-  slot.req = Request{};
-  slot.busy = false;
-  slot.event = rt::Event{};
-
   if (fault.empty() && entry.verify) {
     // Output verification: a corrupted result is handled like a transient
     // fault -- retried elsewhere, device degraded -- plus the corruption
     // counter (the chaos bench's detection signal).
-    if (!entry.verify(req.payload, req.scalars, slot.host_out)) {
+    if (!entry.verify(req.payload, req.scalars, entry.host_out)) {
       fault = "output verification failed (corrupted result)";
       transient = true;
       corruption = true;
@@ -1303,7 +1253,7 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
       d.health = DeviceHealth::Healthy;
     }
     if (!expired) {
-      finish_locked(req, RequestStatus::Ok, slot.host_out, "",
+      finish_locked(req, RequestStatus::Ok, entry.host_out, "",
                     static_cast<int>(device));
     }
     return;
@@ -1364,19 +1314,19 @@ void DeviceCluster::probe_device(std::size_t device) {
   auto& d = *devices_[device];
   bool ok = true;
   bool mismatch = false;
-  // The probe replays each plan's canary through slot 0 on the device's
-  // default stream (no traffic is routed to a Probation device, and the
-  // watchdog only probes with zero in-flight replays, so the slot and the
-  // stream are exclusively ours). The stream may still carry the sticky
+  // The probe replays each plan's canary on the device's default stream
+  // (no traffic is routed to a Probation device, and the watchdog only
+  // probes with zero in-flight replays, so the GraphExec and the stream are
+  // exclusively ours). The stream may still carry the sticky
   // error that quarantined the device -- recovery starts by clearing it.
   d.dev.stream().clear_error();
   try {
     for (auto& [name, entry] : d.plans) {
       rt::GraphUpdates updates;
       updates.copy_in(0, entry.canary_in);
-      auto ev = entry.slots[0].exec.launch(d.dev.stream(), std::move(updates));
+      auto ev = entry.exec.launch(d.dev.stream(), std::move(updates));
       ev.wait();
-      if (entry.slots[0].host_out != entry.canary_golden) {
+      if (entry.host_out != entry.canary_golden) {
         ok = false;
         mismatch = true;
         break;

@@ -78,10 +78,6 @@ struct ClusterConfig {
   /// work is never shed by its own retry.
   std::size_t queue_capacity = 64;
   OverloadPolicy policy = OverloadPolicy::Reject;
-  /// Pre-instantiated GraphExec copies per (device, plan): how many
-  /// replays a device worker keeps in flight before waiting, overlapping
-  /// host-side rebind with executor-side simulation.
-  unsigned replay_depth = 2;
   /// Fail-over attempts per request before it resolves Failed.
   unsigned max_retries = 3;
 
@@ -291,7 +287,7 @@ class DeviceCluster {
   /// Register a serving plan on every alive device: assemble the module
   /// (the per-device module cache absorbs re-registration), allocate and
   /// preload its buffers, capture the copy-in / launch / copy-out pipeline,
-  /// instantiate replay_depth GraphExecs, and run one warmup replay to
+  /// instantiate one GraphExec per device, and run one warmup replay to
   /// prime the resident image and measure the routing cost estimate.
   /// Call before traffic; throws on a spec with no (or several) Input or
   /// Output args, or anything the kernel ABI rejects.
@@ -349,12 +345,12 @@ class DeviceCluster {
   /// sits (queued, delayed, in flight) and promotes rested quarantined
   /// devices to Probation.
   void watchdog_loop();
-  /// Issue one request on its routed device (worker thread only; completes
-  /// the target replay slot first if it is still busy).
+  /// Issue one request on its routed device and run the replay to
+  /// completion before returning (worker thread only).
   void issue(std::size_t device, Request req);
-  /// Wait out one in-flight slot and resolve its ticket (worker thread).
-  void complete_slot(std::size_t device, PlanEntry& entry,
-                     std::size_t slot_index);
+  /// Join the request's replay on the worker thread and resolve its ticket.
+  void complete(std::size_t device, PlanEntry& entry,
+                const runtime::Event& event, Request req);
   /// Canary-replay a device on probation (worker thread, off-lock);
   /// re-admits on a bit-exact round trip, re-quarantines otherwise.
   void probe_device(std::size_t device);

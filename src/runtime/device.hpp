@@ -552,11 +552,12 @@ class Device {
   /// relaunching the same kernel with the same arguments skips both the
   /// loader patch and the I-MEM reload.
   std::uint64_t resident_sig_ = 0;
-  /// Serializes backend access between the scheduler's executor thread and
-  /// direct host calls (read/write_words, launch_sync).
+  /// Serializes backend access between the thread draining the scheduler
+  /// (whichever host thread joins) and direct host calls from other
+  /// threads (read/write_words, launch_sync).
   mutable std::mutex exec_mutex_;
-  // Declared after the backend so destruction drains and joins the
-  // scheduler before the engine it drives disappears.
+  // Declared after the backend so destruction runs the scheduler's
+  // leftover commands before the engine they drive disappears.
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<Stream>> streams_;  ///< [0] = default stream
 };

@@ -1,9 +1,11 @@
 // Event: completion handle for an asynchronously scheduled launch.
 //
 // An Event resolves when the device's Scheduler has executed the launch it
-// was returned from. done() is a non-blocking poll, wait() joins just this
-// event, and stats()/wall_us()/elapsed_us() throw simt::Error while the
-// launch is still in flight -- an incomplete event never reads as zeros.
+// was returned from. done() is a non-blocking poll that runs nothing,
+// wait() joins just this event (running the queue up to its launch on the
+// calling thread), and stats()/wall_us()/elapsed_us() throw simt::Error
+// while the launch is still queued -- an incomplete event never reads as
+// zeros.
 #pragma once
 
 #include <atomic>
@@ -65,7 +67,7 @@ class Event {
  public:
   Event() = default;
 
-  /// Non-blocking completion poll.
+  /// Non-blocking completion poll; runs nothing (see Scheduler::done).
   bool done() const {
     return state_ && state_->complete.load(std::memory_order_acquire);
   }
@@ -95,9 +97,10 @@ class Event {
   /// the Event GraphExec::launch returns instead.
   bool captured() const { return state_ && state_->captured; }
 
-  /// Block until the scheduler has executed this launch; rethrows the
-  /// command's error if it faulted (every time -- a failed event stays
-  /// failed). No-op on a default-constructed event.
+  /// Run the device queue up to this launch on the calling thread (see
+  /// Scheduler::wait); rethrows the command's error if it faulted (every
+  /// time -- a failed event stays failed). No-op on a default-constructed
+  /// event.
   void wait() const;
 
   /// Rolled-up counters for the launch; throws while still in flight and

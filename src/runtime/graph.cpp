@@ -226,10 +226,10 @@ Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
 
   // Validate the updates now, on the submitting thread, so a bad rebind
   // throws here instead of surfacing as a sticky stream error. The
-  // mutation itself is deferred to the executor (first sub-command) so an
-  // in-flight earlier replay is never rebound under. State::mutex covers
+  // mutation itself is deferred to the replay's first sub-command so an
+  // earlier queued replay is never rebound under. State::mutex covers
   // these reads (and the payload-size reads below) against that earlier
-  // replay's executor-side apply.
+  // replay's apply, which a join on another thread may be running.
   std::unique_lock<std::mutex> state_lock(state->mutex);
   double rebind_us = 0.0;
   for (const auto& [idx, args] : updates.args_) {
@@ -307,7 +307,7 @@ Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
   for (std::size_t i = 0; i < state->nodes.size(); ++i) {
     Scheduler::Command sub;
     // The frozen DAG's edges, for the timeline: each sub is ready when
-    // the nodes it depends on have finished (the executor still runs the
+    // the nodes it depends on have finished (the join still runs the
     // topological capture order, which satisfies every edge).
     for (const std::size_t d : state->nodes[i].deps) {
       sub.after.push_back(static_cast<std::uint32_t>(d) + sub_base);

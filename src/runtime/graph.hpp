@@ -146,8 +146,8 @@ class Graph {
 
 /// Per-replay rebinding set for GraphExec::launch. Ordinals count nodes of
 /// the matching kind in capture order (the 0th launch, the 1st copy-in,
-/// ...). Updates are applied on the executor thread at the start of the
-/// replay, so an in-flight earlier replay is never mutated under.
+/// ...). Updates are applied when the replay runs (by whichever thread
+/// joins it), so an earlier queued replay is never mutated under.
 class GraphUpdates {
  public:
   /// Rebind the `launch_index`-th captured launch to a new argument set.
@@ -194,12 +194,12 @@ class GraphExec {
 
   /// The frozen plan of the `launch_index`-th captured launch (current
   /// binding, signature, footprint) -- introspection for tests and tools.
-  /// Returns a snapshot: a concurrent replay may be rebinding the live
-  /// plan on the executor thread.
+  /// Returns a snapshot: a join on another thread may be running a replay
+  /// that rebinds the live plan.
   LaunchPlan plan(std::size_t launch_index) const;
 
   /// Replay the captured DAG on `stream` as ONE scheduler command,
-  /// applying `updates` first (executor-side, ordered after earlier
+  /// applying `updates` first (when the replay runs, ordered after earlier
   /// replays). The returned Event resolves when the whole replay has
   /// executed; its stats() aggregate the replayed launches, and its
   /// replay_serial_us()/replay_overlap_us() report the replay's modeled
@@ -229,9 +229,10 @@ class GraphExec {
     std::size_t copy_in_nodes = 0;  ///< post-fusion copy-in (burst) count
     double staging_words_per_cycle = 1.0;
     /// Guards the rebindable pieces (plans, copy-in payloads) between
-    /// submitting threads (validation reads in launch()) and the executor
-    /// (the apply sub-command's writes). The executor's own reads need no
-    /// lock: it is one thread, so they never overlap its writes.
+    /// submitting threads (validation reads in launch()) and the draining
+    /// joiner (the apply sub-command's writes). The drainer's own reads
+    /// need no lock: the scheduler runs one command at a time, so they
+    /// never overlap its writes.
     mutable std::mutex mutex;
   };
   std::shared_ptr<State> state_;

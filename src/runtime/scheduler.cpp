@@ -7,17 +7,10 @@
 
 namespace simt::runtime {
 
-Scheduler::Scheduler(Device& dev) : dev_(dev), fmax_mhz_(dev.fmax_mhz()) {
-  thread_ = std::thread([this] { loop(); });
-}
+Scheduler::Scheduler(Device& dev) : dev_(dev), fmax_mhz_(dev.fmax_mhz()) {}
 
 Scheduler::~Scheduler() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  thread_.join();  // drains the queue: every event has resolved by now
+  wait_all();  // run what nobody joined: every event has resolved by now
   liveness_.reset();
 }
 
@@ -37,13 +30,29 @@ Ticket Scheduler::submit(Command cmd, std::vector<Ticket> deps) {
     }
     queue_.push_back(std::move(node));
   }
-  work_cv_.notify_all();
   return ticket;
 }
 
 void Scheduler::wait(Ticket t) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this, t] { return completed_ >= t; });
+  done_cv_.wait(lock, [this, t] { return completed_ >= t || !draining_; });
+  if (completed_ >= t) {
+    return;
+  }
+  draining_ = true;
+  // Hand the queue back on every exit path (run_front releases the lock
+  // only around the command, whose exceptions it catches) and wake the
+  // joiners sleeping above: one whose ticket is still pending takes over.
+  struct Release {
+    Scheduler& s;
+    ~Release() {
+      s.draining_ = false;
+      s.done_cv_.notify_all();
+    }
+  } release{*this};
+  while (completed_ < t && !queue_.empty()) {
+    run_front(lock);
+  }
 }
 
 void Scheduler::wait_all() {
@@ -58,19 +67,6 @@ void Scheduler::wait_all() {
 bool Scheduler::done(Ticket t) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return completed_ >= t;
-}
-
-void Scheduler::pause() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  paused_ = true;
-}
-
-void Scheduler::resume() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    paused_ = false;
-  }
-  work_cv_.notify_all();
 }
 
 TimelineStats Scheduler::timeline() const {
@@ -152,8 +148,8 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
     ++graph_replays_;
     if (node.cmd.event) {
       // Publish the replay's own modeled span (both pricings) on its
-      // event; the complete/failed store in loop() sequences these writes
-      // before any reader.
+      // event; the complete/failed store in run_front() sequences these
+      // writes before any reader.
       node.cmd.event->replay_serial_us = serial_us_ - serial_before;
       node.cmd.event->replay_overlap_us = finish - ready;
     }
@@ -169,68 +165,59 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
   ++commands_;
 }
 
-void Scheduler::loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return stopping_ || (!paused_ && !queue_.empty());
-    });
-    if (queue_.empty()) {
-      return;  // stopping with a drained queue
-    }
-    Node node = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
+void Scheduler::run_front(std::unique_lock<std::mutex>& lock) {
+  Node node = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
 
-    std::uint64_t cycles = 0;
-    std::vector<std::uint64_t> sub_cycles;
-    std::exception_ptr err;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      if (node.cmd.run) {
-        cycles = node.cmd.run();
-      }
-      // Composite command: execute the frozen sub-sequence in order. A
-      // faulting sub-command aborts the rest of the replay (the fault
-      // lands on the parent's event and stream error slot).
-      if (!node.cmd.sub.empty()) {
-        if (auto* f = dev_.fault_injector()) {
-          // One Replay trigger per composite replay dispatch; a thrown
-          // fault fails the whole replay before any sub executes.
-          f->at(faults::FaultSite::Replay);
-        }
-      }
-      for (auto& sub : node.cmd.sub) {
-        sub_cycles.push_back(sub.run ? sub.run() : 0);
-      }
-    } catch (...) {
-      err = std::current_exception();
+  std::uint64_t cycles = 0;
+  std::vector<std::uint64_t> sub_cycles;
+  std::exception_ptr err;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    if (node.cmd.run) {
+      cycles = node.cmd.run();
     }
-    const double host_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    lock.lock();
-    account(node, cycles, sub_cycles);
-    completed_ = node.ticket;
-    if (node.cmd.event) {
-      if (err) {
-        node.cmd.event->error = err;
-        node.cmd.event->failed.store(true, std::memory_order_release);
-      } else {
-        node.cmd.event->host_elapsed_us = host_us;
-        node.cmd.event->complete.store(true, std::memory_order_release);
+    // Composite command: execute the frozen sub-sequence in order. A
+    // faulting sub-command aborts the rest of the replay (the fault lands
+    // on the parent's event and stream error slot).
+    if (!node.cmd.sub.empty()) {
+      if (auto* f = dev_.fault_injector()) {
+        // One Replay trigger per composite replay dispatch; a thrown
+        // fault fails the whole replay before any sub executes.
+        f->at(faults::FaultSite::Replay);
       }
     }
-    if (err && node.cmd.error_slot) {
-      std::lock_guard<std::mutex> slot_lock(node.cmd.error_slot->mutex);
-      if (!node.cmd.error_slot->error) {
-        node.cmd.error_slot->error = err;  // first fault on the stream wins
-      }
+    for (auto& sub : node.cmd.sub) {
+      sub_cycles.push_back(sub.run ? sub.run() : 0);
     }
-    done_cv_.notify_all();
+  } catch (...) {
+    err = std::current_exception();
   }
+  const double host_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+
+  lock.lock();
+  account(node, cycles, sub_cycles);
+  completed_ = node.ticket;
+  if (node.cmd.event) {
+    if (err) {
+      node.cmd.event->error = err;
+      node.cmd.event->failed.store(true, std::memory_order_release);
+    } else {
+      node.cmd.event->host_elapsed_us = host_us;
+      node.cmd.event->complete.store(true, std::memory_order_release);
+    }
+  }
+  if (err && node.cmd.error_slot) {
+    std::lock_guard<std::mutex> slot_lock(node.cmd.error_slot->mutex);
+    if (!node.cmd.error_slot->error) {
+      node.cmd.error_slot->error = err;  // first fault on the stream wins
+    }
+  }
+  done_cv_.notify_all();
 }
 
 void Event::wait() const {
@@ -245,8 +232,8 @@ void Event::wait() const {
   if (!state_->scheduler) {
     return;
   }
-  // Only touch the scheduler while it is alive; a destroyed device already
-  // drained its queue, so the event's final state is set and the wait
+  // Only touch the scheduler while it is alive; a destroyed device ran its
+  // queue dry, so the event's final state is set and the wait
   // degrades to the completion/failure check below. (Destroying the device
   // concurrently with wait() is outside the API contract.)
   if (auto alive = state_->scheduler_alive.lock()) {

@@ -1,13 +1,16 @@
 // The device-owned asynchronous scheduler.
 //
 // Streams do not execute anything themselves: every copy/launch command is
-// submitted here and runs on the scheduler's executor thread, so host code
-// keeps going while the device simulates. Stream::synchronize() is a join.
-// Commands carry dependency tickets (same-stream ordering, cross-stream
-// Event waits); the in-process executor runs commands in submission order,
-// which trivially satisfies those dependencies and keeps multi-stream
-// execution deterministic -- on real hardware the dependencies are what
-// the DMA descriptors would encode.
+// submitted here and queued, and submission returns at once. A join
+// (Stream::synchronize(), Event::wait()) runs the queued commands on the
+// joining thread, in submission order, until its own ticket has executed --
+// the synchronous host interface of the paper, with the queue in between.
+// Only one thread drains at a time; other joiners sleep and take over if
+// their ticket is still pending when the drainer stops. Commands carry
+// dependency tickets (same-stream ordering, cross-stream Event waits);
+// submission order trivially satisfies those dependencies and keeps
+// multi-stream execution deterministic -- on real hardware the
+// dependencies are what the DMA descriptors would encode.
 //
 // Alongside functional execution the scheduler keeps a modeled timeline:
 // each command occupies a device engine (the staging DMA for copies, the
@@ -24,7 +27,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -85,10 +87,11 @@ struct TimelineStats {
   }
 };
 
-/// A stream's sticky-error slot, shared between the stream and the
-/// executor thread. It carries its own mutex so the executor's store and
-/// the stream's consume (Stream::synchronize) stay race-free even while
-/// other host threads keep submitting past the joined ticket.
+/// A stream's sticky-error slot, shared between the stream and its queued
+/// commands. It carries its own mutex so the draining joiner's store (any
+/// thread's join may run this stream's commands) and the stream's consume
+/// (Stream::synchronize) stay race-free even while other host threads keep
+/// submitting past the joined ticket.
 struct StreamErrorSlot {
   std::mutex mutex;
   std::exception_ptr error;
@@ -96,8 +99,9 @@ struct StreamErrorSlot {
 
 class Scheduler {
  public:
-  /// One schedulable command. `run` executes on the scheduler thread and
-  /// returns the command's modeled duration in device cycles.
+  /// One schedulable command. `run` executes on whichever thread joins it
+  /// (or a later ticket) and returns the command's modeled duration in
+  /// device cycles.
   struct Command {
     EngineKind engine = EngineKind::None;
     std::function<std::uint64_t()> run;
@@ -134,7 +138,7 @@ class Scheduler {
   };
 
   explicit Scheduler(Device& dev);
-  ~Scheduler();  ///< drains the queue and joins the executor
+  ~Scheduler();  ///< runs whatever is still queued
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -142,20 +146,20 @@ class Scheduler {
   /// Enqueue a command after `deps` (earlier tickets). Returns its ticket.
   Ticket submit(Command cmd, std::vector<Ticket> deps = {});
 
-  /// Block until ticket `t` has executed (t == 0 returns immediately).
-  /// Errors are reported through the command's stream error slot and
-  /// event, not here -- see Stream::synchronize() and Event::wait().
+  /// Run queued commands on the calling thread until ticket `t` has
+  /// executed (t == 0 returns immediately). If another joiner is already
+  /// draining, sleep until it has run `t` or stopped short of it, then
+  /// take over. Errors are reported through the command's stream error
+  /// slot and event, not here -- see Stream::synchronize() and
+  /// Event::wait().
   void wait(Ticket t);
-  /// Block until every submitted command has executed.
+  /// Run every submitted command.
   void wait_all();
 
-  /// Has ticket `t` executed? (Non-blocking; t == 0 is always done.)
+  /// Has ticket `t` executed? A non-driving poll: it runs nothing, so it
+  /// reads "not yet" until some join has run the command. (t == 0 is
+  /// always done.)
   bool done(Ticket t) const;
-
-  /// Hold the executor between commands (in-flight work finishes). Lets
-  /// tests and tools observe queued state deterministically.
-  void pause();
-  void resume();
 
   TimelineStats timeline() const;
 
@@ -171,7 +175,10 @@ class Scheduler {
     Ticket ticket = 0;
   };
 
-  void loop();
+  /// Pop the queue front, run it with the mutex released, and account
+  /// for it under the mutex again (caller holds `lock` and is the one
+  /// drainer; the queue is non-empty).
+  void run_front(std::unique_lock<std::mutex>& lock);
   /// Fold an executed command into the modeled timeline (mutex held).
   /// `sub_cycles` carries the per-sub-command durations of a composite.
   void account(const Node& node, std::uint64_t cycles,
@@ -187,13 +194,13 @@ class Scheduler {
   std::shared_ptr<void> liveness_ = std::make_shared<int>(0);
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes the executor
-  std::condition_variable done_cv_;  ///< wakes waiters
+  std::condition_variable done_cv_;  ///< wakes joiners
   std::deque<Node> queue_;
   Ticket next_ticket_ = 1;
   Ticket completed_ = 0;  ///< every ticket <= this has executed
-  bool paused_ = false;
-  bool stopping_ = false;
+  /// A joiner is running commands: the one thread allowed to pop the
+  /// queue, so commands run (and are accounted) in ticket order.
+  bool draining_ = false;
 
   // Modeled timeline (all in modeled microseconds at fmax_mhz_).
   std::vector<double> copy_free_us_;  ///< per staging channel
@@ -212,8 +219,6 @@ class Scheduler {
   static constexpr std::size_t kFinishWindow = 16384;
   std::unordered_map<Ticket, double> finish_us_;
   std::deque<Ticket> finish_order_;
-
-  std::thread thread_;  ///< last member: joins before state tears down
 };
 
 }  // namespace simt::runtime

@@ -1,14 +1,15 @@
-// Stream: an in-order command queue over a Device, executed asynchronously
-// by the device's Scheduler.
+// Stream: an in-order command queue over a Device, executed by the
+// device's Scheduler.
 //
-// Commands (copy-in, launch, copy-out) start executing in the background as
-// soon as they are enqueued -- the cudaMemcpyAsync / kernel<<<>>> /
-// cudaStreamSynchronize shape -- and synchronize() is a join, not the
-// executor. A device can have any number of streams (Device::stream() is
-// the default, Device::create_stream() adds more); each stream is in-order
-// with itself, and streams are unordered against each other except through
-// wait(event), which makes this stream's later commands depend on another
-// stream's launch. Copies are priced on the staging DMA engine and launches
+// Enqueueing a command (copy-in, launch, copy-out) returns at once -- the
+// cudaMemcpyAsync / kernel<<<>>> / cudaStreamSynchronize shape -- and the
+// join (synchronize(), or Event::wait()) runs the queued commands on the
+// joining thread in submission order. pending() and Event::done() are
+// polls that run nothing. A device can have any number of streams
+// (Device::stream() is the default, Device::create_stream() adds more);
+// each stream is in-order with itself, and streams are unordered against
+// each other except through wait(event), which makes this stream's later
+// commands depend on another stream's launch. Copies are priced on the staging DMA engine and launches
 // on the compute array in the scheduler's modeled timeline, so overlapping
 // streams report the double-buffered staging gain (Scheduler::timeline()).
 //
@@ -147,9 +148,13 @@ class Stream {
   }
 
   /// Commands enqueued on this stream the scheduler has not executed yet.
+  /// A poll: it runs nothing, so queued commands stay pending until some
+  /// join (on any stream of the device) runs them.
   std::size_t pending() const;
 
-  /// Join: block until every command enqueued on this stream has executed.
+  /// Join: run queued commands until every command enqueued on this
+  /// stream has executed (other streams' earlier commands run too, in
+  /// submission order).
   /// Rethrows (and clears) the first error one of THIS stream's commands
   /// raised -- the CUDA-style sticky stream error; other streams' faults
   /// surface on their own synchronize().
@@ -198,7 +203,7 @@ class Stream {
   Ticket last_ = 0;                   ///< most recent command on this stream
   mutable std::deque<Ticket> live_;   ///< unretired tickets, for pending()
   /// First fault among this stream's commands (shared with the scheduler,
-  /// which fills it from the executor thread under the slot's own mutex);
+  /// which fills it from the draining thread under the slot's own mutex);
   /// consumed by synchronize().
   std::shared_ptr<StreamErrorSlot> error_ =
       std::make_shared<StreamErrorSlot>();

@@ -6,6 +6,7 @@
 
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -39,7 +40,7 @@ std::string affine_kernel(std::uint32_t in_base, std::uint32_t out_base) {
 
 // ---- scheduler basics ------------------------------------------------------
 
-TEST(Scheduler, CommandsExecuteInBackgroundAndSynchronizeJoins) {
+TEST(Scheduler, CommandsRunWhenJoined) {
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
   auto in = dev.alloc<std::uint32_t>(64);
   auto out = dev.alloc<std::uint32_t>(64);
@@ -47,16 +48,26 @@ TEST(Scheduler, CommandsExecuteInBackgroundAndSynchronizeJoins) {
                                               out.word_base()));
   std::vector<std::uint32_t> host(64);
   std::iota(host.begin(), host.end(), 0u);
-  std::vector<std::uint32_t> result(64, 0);
+  std::vector<std::uint32_t> result(64, 0xdeadbeef);
 
   auto& stream = dev.stream();
   stream.copy_in(in, std::span<const std::uint32_t>(host));
   Event event = stream.launch(mod.kernel(), 64);
   stream.copy_out(out, std::span<std::uint32_t>(result));
 
-  // The event resolves without synchronize(): wait() joins just it.
+  // Nothing runs before a join: the polls read "not yet" and the copy-out
+  // destination is untouched.
+  EXPECT_EQ(stream.pending(), 3u);
+  EXPECT_FALSE(event.done());
+  EXPECT_THROW(event.stats(), Error);
+  EXPECT_EQ(result[0], 0xdeadbeefu);
+
+  // wait() joins just the event: the queue runs up to the launch, and the
+  // copy-out behind it stays queued.
   event.wait();
   EXPECT_TRUE(event.done());
+  EXPECT_EQ(stream.pending(), 1u);
+  EXPECT_EQ(result[0], 0xdeadbeefu);
   stream.synchronize();
   EXPECT_EQ(stream.pending(), 0u);
   for (unsigned i = 0; i < 64; ++i) {
@@ -64,18 +75,55 @@ TEST(Scheduler, CommandsExecuteInBackgroundAndSynchronizeJoins) {
   }
 }
 
-TEST(Scheduler, PauseHoldsTheQueueAndResumeDrainsIt) {
+TEST(Scheduler, ConcurrentJoinersRunEachCommandOnce) {
+  // Four host threads share one device, each with its own stream and
+  // buffers. Every join drains the shared queue, so threads run each
+  // other's commands; each must still run exactly once, with its result
+  // landing where its submitter expects.
+  constexpr unsigned kThreads = 4, kIters = 25, kWords = 32;
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
-  auto buf = dev.alloc<std::uint32_t>(16);
-  const std::vector<std::uint32_t> host(16, 42);
+  std::vector<Buffer<std::uint32_t>> ins, outs;
+  std::vector<Kernel> kernels;
+  std::vector<Stream*> streams;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ins.push_back(dev.alloc<std::uint32_t>(kWords));
+    outs.push_back(dev.alloc<std::uint32_t>(kWords));
+    kernels.push_back(dev.load_module(affine_kernel(ins[t].word_base(),
+                                                    outs[t].word_base()))
+                          .kernel());
+    streams.push_back(&dev.create_stream());
+  }
 
-  dev.scheduler().pause();
-  dev.stream().copy_in(buf, std::span<const std::uint32_t>(host));
-  EXPECT_EQ(dev.stream().pending(), 1u);
-  dev.scheduler().resume();
-  dev.stream().synchronize();
-  EXPECT_EQ(dev.stream().pending(), 0u);
-  EXPECT_EQ(buf.at(7), 42u);
+  std::vector<unsigned> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::uint32_t> host(kWords), result(kWords);
+      for (unsigned k = 0; k < kIters; ++k) {
+        for (unsigned i = 0; i < kWords; ++i) {
+          host[i] = 1000 * t + 10 * k + i;
+        }
+        streams[t]->copy_in(ins[t], std::span<const std::uint32_t>(host));
+        Event launched = streams[t]->launch(kernels[t], kWords);
+        streams[t]->copy_out(outs[t], std::span<std::uint32_t>(result));
+        if (t % 2 == 1) {
+          launched.wait();  // joins only up to the launch...
+        }
+        streams[t]->synchronize();  // ...so the copy-out needs this join
+        for (unsigned i = 0; i < kWords; ++i) {
+          mismatches[t] += result[i] != 3 * host[i] + 7;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    EXPECT_EQ(streams[t]->pending(), 0u) << "thread " << t;
+  }
+  EXPECT_EQ(dev.scheduler().timeline().commands, kThreads * kIters * 3);
 }
 
 TEST(Scheduler, TimelineSerialBoundsOverlap) {
@@ -111,13 +159,11 @@ TEST(Event, AccessorsThrowWhileInFlightAndResolveAfter) {
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
   Module& mod = dev.load_module("movi %r1, 1\nexit\n");
 
-  dev.scheduler().pause();
   Event event = dev.stream().launch(mod.kernel(), 16);
   EXPECT_FALSE(event.done());
   EXPECT_THROW(event.stats(), Error);
   EXPECT_THROW(event.wall_us(), Error);
   EXPECT_THROW(event.elapsed_us(), Error);
-  dev.scheduler().resume();
   event.wait();
 
   EXPECT_TRUE(event.done());
@@ -156,7 +202,7 @@ TEST(Event, InvalidLaunchesThrowAtEnqueue) {
 
 TEST(Event, AsyncKernelFaultSurfacesAtSynchronize) {
   Device dev(DeviceDescriptor::simt_core(small_cfg(64, 256)));
-  // Store far out of the 256-word memory: faults on the scheduler thread.
+  // Store far out of the 256-word memory: faults when the join runs it.
   Module& mod = dev.load_module(
       "movi %r0, 9999\n"
       "sts [%r0], %r0\n"

@@ -126,9 +126,8 @@ TEST(StreamQueue, CommandsRunInOrderAtSynchronize) {
   std::iota(host.begin(), host.end(), 0u);
   std::vector<std::uint32_t> result(64, 0xdeadbeef);
 
-  // Hold the scheduler so the queued-but-unexecuted state is observable
-  // deterministically (commands normally start in the background at once).
-  dev.scheduler().pause();
+  // Commands run only when joined, so the queued-but-unexecuted state is
+  // observable until synchronize().
   auto& stream = dev.stream();
   stream.copy_in(in, std::span<const std::uint32_t>(host));
   Event event = stream.launch(mod.kernel(), 64);
@@ -141,7 +140,6 @@ TEST(StreamQueue, CommandsRunInOrderAtSynchronize) {
   EXPECT_THROW(event.stats(), Error);
   EXPECT_EQ(result[0], 0xdeadbeefu);
 
-  dev.scheduler().resume();
   stream.synchronize();
   EXPECT_EQ(stream.pending(), 0u);
   ASSERT_TRUE(event.done());
