@@ -3,10 +3,10 @@
 //
 // Each tenant registers one replayable plan (the PlanCache captures and
 // instantiates a GraphExec per device up front), then fires requests at the
-// cluster. The admission queue bounds memory, the balancer routes each
-// request to the device with the least modeled outstanding work, and when
-// device 0 is unplugged its queued requests fail over -- nothing accepted
-// is ever lost.
+// cluster. The admission queue bounds memory, each device's worker takes
+// the next request when its device has the least modeled load, and when
+// device 0 is unplugged the survivors take the queued requests -- nothing
+// accepted is ever lost.
 //
 // Build & run:  ./example_cluster_serving
 #include <cstdio>
@@ -73,7 +73,7 @@ int main() {
       tickets.push_back(cluster.submit("ml", "reduce", payload));
     }
     if (r == kRequests / 3) {
-      std::printf("-- unplugging device 0 (its queue fails over) --\n");
+      std::printf("-- unplugging device 0 (the survivors take its traffic) --\n");
       cluster.unplug(0);
     }
   }

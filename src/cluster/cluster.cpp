@@ -1,6 +1,8 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -165,11 +167,10 @@ struct DeviceCluster::Request {
   std::shared_ptr<ClusterTicket::State> ticket;
   Clock::time_point submitted{};
   Clock::time_point deadline = kNoDeadline;
-  Clock::time_point not_before{};  ///< backoff: dispatch no earlier
+  Clock::time_point not_before{};  ///< backoff: re-queue no earlier
   int priority = 0;
   unsigned retries = 0;
   std::uint64_t admit_seq = 0;   ///< admission order (shed-oldest key)
-  double routed_est = 0.0;       ///< est_us charged to the routed device
 };
 
 /// One plan pre-instantiated on one device: buffers, the canonical binding
@@ -202,14 +203,15 @@ struct DeviceCluster::DeviceState {
 
   rt::Device dev;
   std::thread worker;
-  std::condition_variable cv;  ///< paired with DeviceCluster::mu_
-  std::deque<Request> queue;   ///< routed, not yet issued
   DeviceHealth health = DeviceHealth::Healthy;
   unsigned consecutive_faults = 0;  ///< transients since the last success
   Clock::time_point quarantined_at{};
   bool probe_pending = false;  ///< watchdog asked the worker to probe
-  std::uint64_t inflight = 0;  ///< replays issue() has launched, not finished
-  double outstanding_us = 0.0; ///< modeled work routed but not completed
+  std::uint64_t inflight = 0;  ///< requests the worker has taken, not finished
+  /// Modeled work the worker has taken (sum of est_us): the routing clock.
+  /// Host-timed completions never decrement it, so routing depends only on
+  /// request order and the plans' modeled costs.
+  double load_us = 0.0;
   double busy_us = 0.0;        ///< modeled time spent on completed replays
   /// Watchdog's view of in-flight work: (ticket, deadline) per running
   /// replay, maintained under mu_ (the replay itself runs on the worker).
@@ -229,6 +231,17 @@ struct DeviceCluster::DeviceState {
   /// primary lane's launch) and replays price the copy-in on its own
   /// modeled DMA channel. Created on first register_plan.
   rt::Stream* stage_stream = nullptr;
+
+  /// Forget a taken request once it resolves (mu_ held).
+  void untrack(const std::shared_ptr<ClusterTicket::State>& ticket) {
+    --inflight;
+    for (auto it = inflight_reqs.begin(); it != inflight_reqs.end(); ++it) {
+      if (it->ticket == ticket) {
+        inflight_reqs.erase(it);
+        break;
+      }
+    }
+  }
 };
 
 namespace {
@@ -289,7 +302,6 @@ DeviceCluster::DeviceCluster(std::vector<rt::DeviceDescriptor> descs,
     devices_.push_back(std::make_unique<DeviceState>(std::move(d)));
   }
   stats_.per_device_completed.assign(devices_.size(), 0);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
   watchdog_ = std::thread([this] { watchdog_loop(); });
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     devices_[i]->worker = std::thread([this, i] { worker_loop(i); });
@@ -301,15 +313,9 @@ DeviceCluster::~DeviceCluster() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
-  admit_cv_.notify_all();
+  work_cv_.notify_all();
   space_cv_.notify_all();
   watch_cv_.notify_all();
-  for (auto& d : devices_) {
-    d->cv.notify_all();
-  }
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
-  }
   if (watchdog_.joinable()) {
     watchdog_.join();
   }
@@ -318,27 +324,14 @@ DeviceCluster::~DeviceCluster() {
       d->worker.join();
     }
   }
-  // Whatever is still queued after the workers drained their in-flight
+  // Whatever is still queued after the workers finished their in-flight
   // replays resolves Failed -- a ticket must never dangle.
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& d : devices_) {
-    for (auto& req : d->queue) {
-      finish_locked(req, RequestStatus::Failed, {}, "cluster shut down", -1);
-    }
-    d->queue.clear();
-  }
-  for (auto& [tenant, q] : tenants_) {
-    for (auto& req : q) {
-      finish_locked(req, RequestStatus::Failed, {}, "cluster shut down", -1);
-    }
-    q.clear();
-  }
+  fail_queued_locked([](const Request&) { return true; }, "cluster shut down");
   for (auto& req : delayed_) {
     finish_locked(req, RequestStatus::Failed, {}, "cluster shut down", -1);
   }
   delayed_.clear();
-  tenant_ring_.clear();
-  queued_ = 0;
 }
 
 void DeviceCluster::register_plan(const PlanSpec& spec) {
@@ -519,7 +512,7 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
   }
   ++stats_.submitted;
 
-  if (stopping_ || alive_count_locked() == 0) {
+  if (stopping_ || route_locked(req.plan) < 0) {
     finish_locked(req, RequestStatus::Rejected, {},
                   stopping_ ? "cluster shut down" : "no alive devices", -1);
     return ticket;
@@ -536,7 +529,7 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
         break;
       case OverloadPolicy::Block: {
         const auto space = [&] {
-          return stopping_ || alive_count_locked() == 0 ||
+          return stopping_ || route_locked(req.plan) < 0 ||
                  queued_ < cfg_.queue_capacity;
         };
         bool woke = true;
@@ -555,7 +548,7 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
                         -1, /*accepted=*/false);
           return ticket;
         }
-        if (stopping_ || alive_count_locked() == 0) {
+        if (stopping_ || route_locked(req.plan) < 0) {
           finish_locked(req, RequestStatus::Rejected, {},
                         stopping_ ? "cluster shut down" : "no alive devices",
                         -1);
@@ -571,7 +564,7 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
   req.admit_seq = admit_seq_++;
   const bool has_deadline = req.deadline != kNoDeadline;
   enqueue_locked(std::move(req), /*front=*/false);
-  admit_cv_.notify_one();
+  work_cv_.notify_all();  // only the routing argmin's worker may take it
   if (has_deadline) {
     watch_cv_.notify_all();  // the watchdog re-times against the new work
   }
@@ -594,9 +587,6 @@ void DeviceCluster::unplug(std::size_t i) {
     }
     retire_device_locked(i, /*fault=*/false);
   }
-  admit_cv_.notify_all();
-  space_cv_.notify_all();
-  devices_[i]->cv.notify_all();
 }
 
 bool DeviceCluster::alive(std::size_t i) const {
@@ -617,7 +607,11 @@ DeviceHealth DeviceCluster::health(std::size_t i) const {
 
 std::size_t DeviceCluster::alive_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return alive_count_locked();
+  std::size_t n = 0;
+  for (const auto& d : devices_) {
+    n += routable(d->health);
+  }
+  return n;
 }
 
 faults::FaultInjector* DeviceCluster::fault_injector(std::size_t i) {
@@ -653,7 +647,7 @@ void DeviceCluster::resume() {
     std::lock_guard<std::mutex> lock(mu_);
     paused_ = false;
   }
-  admit_cv_.notify_all();
+  work_cv_.notify_all();
 }
 
 ClusterStats DeviceCluster::stats() const {
@@ -678,12 +672,64 @@ rt::Device& DeviceCluster::device(std::size_t i) {
 
 // ---- admission internals (mu_ held) -----------------------------------------
 
-std::size_t DeviceCluster::alive_count_locked() const {
-  std::size_t n = 0;
-  for (const auto& d : devices_) {
-    n += routable(d->health);
+int DeviceCluster::route_locked(const std::string& plan) const {
+  // Devices with cheaper backends bid lower and absorb proportionally more
+  // traffic. A degraded device bids double: still in rotation, but traffic
+  // leans toward clean peers while it proves itself.
+  int best = -1;
+  double best_score = 0.0;
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const auto& d = *devices_[i];
+    if (!routable(d.health)) {
+      continue;
+    }
+    const auto entry = d.plans.find(plan);
+    if (entry == d.plans.end()) {
+      continue;
+    }
+    const double penalty = d.health == DeviceHealth::Degraded ? 2.0 : 1.0;
+    const double score = d.load_us + entry->second.est_us * penalty;
+    if (best < 0 || score < best_score) {
+      best = static_cast<int>(i);
+      best_score = score;
+    }
   }
-  return n;
+  return best;
+}
+
+DeviceCluster::Request DeviceCluster::pop_head_locked() {
+  // Round-robin across tenants with queued work: take the front tenant's
+  // oldest request, rotate the tenant to the back.
+  std::string tenant = std::move(tenant_ring_.front());
+  tenant_ring_.pop_front();
+  auto& q = tenants_[tenant];
+  Request req = std::move(q.front());
+  q.pop_front();
+  --queued_;
+  if (!q.empty()) {
+    tenant_ring_.push_back(std::move(tenant));
+  }
+  return req;
+}
+
+std::size_t DeviceCluster::fail_queued_locked(
+    const std::function<bool(const Request&)>& pred, const char* error) {
+  std::size_t failed = 0;
+  for (auto rit = tenant_ring_.begin(); rit != tenant_ring_.end();) {
+    auto& q = tenants_[*rit];
+    for (auto it = q.begin(); it != q.end();) {
+      if (pred(*it)) {
+        finish_locked(*it, RequestStatus::Failed, {}, error, -1);
+        it = q.erase(it);
+        --queued_;
+        ++failed;
+      } else {
+        ++it;
+      }
+    }
+    rit = q.empty() ? tenant_ring_.erase(rit) : rit + 1;
+  }
+  return failed;
 }
 
 void DeviceCluster::enqueue_locked(Request req, bool front) {
@@ -857,115 +903,13 @@ void DeviceCluster::retire_device_locked(std::size_t device, bool fault) {
     d.quarantined_at = Clock::now();
     watch_cv_.notify_all();  // start the probation timer
   }
-  // Fail queued-but-unissued work over to the survivors: back to the front
-  // of the admission queue (oldest last, so order is preserved), above the
-  // capacity bound -- accepted work is never shed by its own fail-over.
-  while (!d.queue.empty()) {
-    Request req = std::move(d.queue.back());
-    d.queue.pop_back();
-    d.outstanding_us -= req.routed_est;
-    req.routed_est = 0.0;
-    enqueue_locked(std::move(req), /*front=*/true);
-  }
-  admit_cv_.notify_all();
-}
-
-// ---- dispatcher -------------------------------------------------------------
-
-void DeviceCluster::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    const auto runnable = [&] {
-      return stopping_ || (!paused_ && queued_ > 0);
-    };
-    if (delayed_.empty()) {
-      // A retry parked into delayed_ must break this wait even though the
-      // admission queue is empty -- the next pass takes the timed branch.
-      admit_cv_.wait(lock, [&] { return runnable() || !delayed_.empty(); });
-    } else {
-      // Sleep only until the earliest backoff expires; a timeout is the
-      // signal to move due retries back into the admission queue. A new
-      // parked retry may carry an earlier deadline, so wake on growth too.
-      auto due = kNoDeadline;
-      for (const auto& r : delayed_) {
-        due = std::min(due, r.not_before);
-      }
-      const std::size_t parked = delayed_.size();
-      admit_cv_.wait_until(lock, due, [&] {
-        return runnable() || delayed_.size() != parked;
-      });
-    }
-    if (stopping_) {
-      return;
-    }
-    if (!delayed_.empty()) {
-      const auto now = Clock::now();
-      for (auto it = delayed_.begin(); it != delayed_.end();) {
-        if (it->not_before <= now) {
-          // A retry re-enters at the front, above the capacity bound.
-          enqueue_locked(std::move(*it), /*front=*/true);
-          it = delayed_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (paused_ || queued_ == 0) {
-      continue;
-    }
-
-    // Round-robin across tenants with queued work: take the front tenant's
-    // oldest request, rotate the tenant to the back.
-    if (tenant_ring_.empty()) {
-      continue;  // stale wakeup
-    }
-    const std::string tenant = std::move(tenant_ring_.front());
-    tenant_ring_.pop_front();
-    auto& q = tenants_[tenant];
-    if (q.empty()) {
-      continue;
-    }
-    Request req = std::move(q.front());
-    q.pop_front();
-    --queued_;
-    if (!q.empty()) {
-      tenant_ring_.push_back(tenant);
-    }
-    space_cv_.notify_one();
-
-    // Route to the routable device with the least outstanding modeled work
-    // including this request's own cost there (devices with cheaper
-    // backends bid lower and absorb proportionally more traffic). A
-    // degraded device bids double: still in rotation, but traffic leans
-    // toward clean peers while it proves itself.
-    int best = -1;
-    double best_score = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      auto& d = *devices_[i];
-      if (!routable(d.health)) {
-        continue;
-      }
-      const auto plan = d.plans.find(req.plan);
-      if (plan == d.plans.end()) {
-        continue;
-      }
-      const double penalty = d.health == DeviceHealth::Degraded ? 2.0 : 1.0;
-      const double score = d.outstanding_us + plan->second.est_us * penalty;
-      if (best < 0 || score < best_score) {
-        best = static_cast<int>(i);
-        best_score = score;
-      }
-    }
-    if (best < 0) {
-      finish_locked(req, RequestStatus::Failed, {}, "no alive devices", -1);
-      continue;
-    }
-    auto& d = *devices_[static_cast<std::size_t>(best)];
-    req.routed_est = d.plans.find(req.plan)->second.est_us;
-    d.outstanding_us += req.routed_est;
-    d.queue.push_back(std::move(req));
-    d.cv.notify_one();
-  }
+  // Queued work stays in the admission queue for the survivors to take.
+  // What no routable device can serve fails now: it would otherwise sit at
+  // the queue head with no worker allowed to take it.
+  fail_queued_locked([&](const Request& r) { return route_locked(r.plan) < 0; },
+                     "no alive devices");
+  space_cv_.notify_all();  // blocked submitters re-check their plan's route
+  work_cv_.notify_all();   // the routing argmin may have moved
 }
 
 // ---- watchdog ---------------------------------------------------------------
@@ -974,9 +918,9 @@ void DeviceCluster::watchdog_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
     // Next timed event: the earliest request deadline anywhere in the
-    // system, or the earliest probation due-time. (In-flight entries whose
-    // tickets the watchdog already failed were removed from
-    // inflight_reqs, so they cannot re-trigger.)
+    // system, the earliest backoff expiry, or the earliest probation
+    // due-time. (In-flight entries whose tickets the watchdog already
+    // failed were removed from inflight_reqs, so they cannot re-trigger.)
     auto next = kNoDeadline;
     for (const auto& [tenant, q] : tenants_) {
       for (const auto& r : q) {
@@ -984,12 +928,9 @@ void DeviceCluster::watchdog_loop() {
       }
     }
     for (const auto& r : delayed_) {
-      next = std::min(next, r.deadline);
+      next = std::min({next, r.deadline, r.not_before});
     }
     for (const auto& d : devices_) {
-      for (const auto& r : d->queue) {
-        next = std::min(next, r.deadline);
-      }
       for (const auto& info : d->inflight_reqs) {
         next = std::min(next, info.deadline);
       }
@@ -1010,47 +951,32 @@ void DeviceCluster::watchdog_loop() {
     }
     const auto now = Clock::now();
 
-    // Expire overdue queued work (admission queues, backoff lot, device
-    // queues): remove and fail with the named error.
+    // Expire overdue queued work: remove and fail with the named error.
     const char* overdue = "DeadlineExceeded: request deadline elapsed";
-    bool freed = false;
-    for (auto rit = tenant_ring_.begin(); rit != tenant_ring_.end();) {
-      auto& q = tenants_[*rit];
-      for (auto it = q.begin(); it != q.end();) {
-        if (it->deadline <= now) {
-          ++stats_.deadline_failures;
-          finish_locked(*it, RequestStatus::Failed, {}, overdue, -1);
-          it = q.erase(it);
-          --queued_;
-          freed = true;
-        } else {
-          ++it;
-        }
-      }
-      rit = q.empty() ? tenant_ring_.erase(rit) : rit + 1;
-    }
+    const std::size_t expired = fail_queued_locked(
+        [&](const Request& r) { return r.deadline <= now; }, overdue);
+    stats_.deadline_failures += expired;
+    // Backoff lot: overdue retries fail; due ones re-enter the admission
+    // queue at the front, above the capacity bound -- unless no routable
+    // device holds their plan any more.
+    bool wake_workers = false;
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (it->deadline <= now) {
         ++stats_.deadline_failures;
         finish_locked(*it, RequestStatus::Failed, {}, overdue, -1);
-        it = delayed_.erase(it);
-      } else {
+      } else if (it->not_before > now) {
         ++it;
+        continue;
+      } else if (route_locked(it->plan) < 0) {
+        finish_locked(*it, RequestStatus::Failed, {}, "no alive devices", -1);
+      } else {
+        enqueue_locked(std::move(*it), /*front=*/true);
+        wake_workers = true;
       }
+      it = delayed_.erase(it);
     }
     for (std::size_t i = 0; i < devices_.size(); ++i) {
       auto& d = *devices_[i];
-      for (auto it = d.queue.begin(); it != d.queue.end();) {
-        if (it->deadline <= now) {
-          d.outstanding_us -= it->routed_est;
-          ++stats_.deadline_failures;
-          finish_locked(*it, RequestStatus::Failed, {}, overdue,
-                        static_cast<int>(i));
-          it = d.queue.erase(it);
-        } else {
-          ++it;
-        }
-      }
       // Overdue in-flight work: the replay cannot be cancelled (it may be
       // stalled inside the worker's join), but its ticket resolves NOW -- that
       // is the no-hang guarantee. The worker discards the eventual result
@@ -1067,6 +993,7 @@ void DeviceCluster::watchdog_loop() {
             ++stats_.deadline_failures;
             if (d.health == DeviceHealth::Healthy) {
               d.health = DeviceHealth::Degraded;
+              wake_workers = true;  // its bid doubled
             }
           }
           it = d.inflight_reqs.erase(it);
@@ -1084,10 +1011,13 @@ void DeviceCluster::watchdog_loop() {
         d.health = DeviceHealth::Probation;
         d.probe_pending = true;
         ++stats_.probations;
-        d.cv.notify_all();
+        wake_workers = true;
       }
     }
-    if (freed) {
+    if (wake_workers) {
+      work_cv_.notify_all();
+    }
+    if (expired > 0) {
       space_cv_.notify_all();
     }
   }
@@ -1097,53 +1027,59 @@ void DeviceCluster::watchdog_loop() {
 
 void DeviceCluster::worker_loop(std::size_t device) {
   auto& d = *devices_[device];
+  const int self = static_cast<int>(device);
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::unique_lock<std::mutex> lock(mu_);
-    d.cv.wait(lock, [&] {
+    // Late binding: the worker takes the admission queue's head only while
+    // its device is the head's routing argmin; otherwise the head waits for
+    // the device the load clock picked.
+    work_cv_.wait(lock, [&] {
       return stopping_ || d.probe_pending ||
-             (routable(d.health) && !d.queue.empty());
+             (!paused_ && queued_ > 0 &&
+              route_locked(
+                  tenants_.find(tenant_ring_.front())->second.front().plan) ==
+                  self);
     });
-
-    if (d.probe_pending && !stopping_) {
-      d.probe_pending = false;
-      lock.unlock();
-      probe_device(device);
-      continue;
-    }
-
-    if (routable(d.health) && !d.queue.empty() && !stopping_) {
-      Request req = std::move(d.queue.front());
-      d.queue.pop_front();
-      lock.unlock();
-      issue(device, std::move(req));
-      continue;
-    }
-
     if (stopping_) {
       return;
     }
-    // Unroutable with an empty local queue: the queued work already failed
-    // over; sleep until a probe or shutdown.
+    if (d.probe_pending) {
+      d.probe_pending = false;
+      lock.unlock();
+      probe_device(device);
+      lock.lock();
+      continue;
+    }
+
+    Request req = pop_head_locked();
+    space_cv_.notify_one();
+    if (queued_ > 0) {
+      work_cv_.notify_all();  // the new head may route to another device
+    }
+    // Don't spend device time on a request that is already overdue (the
+    // watchdog may not have swept it out of the admission queue yet).
+    if (req.deadline != kNoDeadline && req.deadline <= Clock::now()) {
+      ++stats_.deadline_failures;
+      finish_locked(req, RequestStatus::Failed, {},
+                    "DeadlineExceeded: request deadline elapsed", self);
+      continue;
+    }
+    PlanEntry& entry = d.plans.find(req.plan)->second;
+    d.load_us += entry.est_us;
+    ++d.inflight;
+    d.inflight_reqs.push_back(
+        {req.ticket, req.deadline, req.submitted, req.retries});
+    if (req.deadline != kNoDeadline) {
+      watch_cv_.notify_all();
+    }
+    lock.unlock();
+    issue(device, entry, std::move(req));
+    lock.lock();
   }
 }
 
-void DeviceCluster::issue(std::size_t device, Request req) {
+void DeviceCluster::issue(std::size_t device, PlanEntry& entry, Request req) {
   auto& d = *devices_[device];
-  PlanEntry* entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entry = &d.plans.find(req.plan)->second;
-    // Don't spend device time on a request that is already overdue (the
-    // watchdog may not have swept it out of the device queue yet).
-    if (req.deadline != kNoDeadline && req.deadline <= Clock::now()) {
-      d.outstanding_us -= req.routed_est;
-      ++stats_.deadline_failures;
-      finish_locked(req, RequestStatus::Failed, {},
-                    "DeadlineExceeded: request deadline elapsed",
-                    static_cast<int>(device));
-      return;
-    }
-  }
   // Per-tenant stream, created on first use (worker thread only).
   rt::Stream* stream;
   {
@@ -1159,31 +1095,22 @@ void DeviceCluster::issue(std::size_t device, Request req) {
   rt::GraphUpdates updates;
   updates.copy_in(0, req.payload);
   if (!req.scalars.empty()) {
-    updates.args(0, build_args(entry->recipe, req.scalars));
+    updates.args(0, build_args(entry.recipe, req.scalars));
   }
 
   rt::Event event;
   try {
-    event = entry->exec.launch(*stream, std::move(updates));
+    event = entry.exec.launch(*stream, std::move(updates));
   } catch (const Error& e) {
     // Submission-side validation failure (should not happen for a request
     // submit() accepted) -- resolve the ticket rather than wedge the worker.
     std::lock_guard<std::mutex> lock(mu_);
-    d.outstanding_us -= req.routed_est;
+    d.untrack(req.ticket);
     finish_locked(req, RequestStatus::Failed, {}, e.what(),
                   static_cast<int>(device));
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++d.inflight;
-    d.inflight_reqs.push_back(
-        {req.ticket, req.deadline, req.submitted, req.retries});
-    if (req.deadline != kNoDeadline) {
-      watch_cv_.notify_all();
-    }
-  }
-  complete(device, *entry, event, std::move(req));
+  complete(device, entry, event, std::move(req));
 }
 
 void DeviceCluster::complete(std::size_t device, PlanEntry& entry,
@@ -1223,15 +1150,7 @@ void DeviceCluster::complete(std::size_t device, PlanEntry& entry,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  --d.inflight;
-  d.outstanding_us -= req.routed_est;
-  req.routed_est = 0.0;
-  for (auto it = d.inflight_reqs.begin(); it != d.inflight_reqs.end(); ++it) {
-    if (it->ticket == req.ticket) {
-      d.inflight_reqs.erase(it);
-      break;
-    }
-  }
+  d.untrack(req.ticket);
   if (corruption) {
     ++stats_.corruption_detected;
   }
@@ -1274,11 +1193,12 @@ void DeviceCluster::complete(std::size_t device, PlanEntry& entry,
   } else if (routable(d.health)) {
     retire_device_locked(device, /*fault=*/true);
   }
+  work_cv_.notify_all();  // the device's bid changed
 
   if (expired) {
     return;
   }
-  if (req.retries < cfg_.max_retries && alive_count_locked() > 0) {
+  if (req.retries < cfg_.max_retries && route_locked(req.plan) >= 0) {
     ++req.retries;
     ++stats_.retried;
     if (cfg_.retry_backoff_us > 0) {
@@ -1300,10 +1220,12 @@ void DeviceCluster::complete(std::size_t device, PlanEntry& entry,
           Clock::now() + std::chrono::microseconds(
                              static_cast<std::int64_t>(base * jitter));
       delayed_.push_back(std::move(req));
+      watch_cv_.notify_all();  // the watchdog promotes it when due
     } else {
+      // A retry re-enters at the front, above the capacity bound.
       enqueue_locked(std::move(req), /*front=*/true);
+      work_cv_.notify_all();
     }
-    admit_cv_.notify_all();
     return;
   }
   finish_locked(req, RequestStatus::Failed, {}, fault,
@@ -1342,10 +1264,21 @@ void DeviceCluster::probe_device(std::size_t device) {
     return;  // unplugged (or shut down) mid-probe
   }
   if (ok) {
+    // Rejoin the load clock no lower than the least-loaded routable peer,
+    // so the device does not take all traffic while it catches up.
+    double least = std::numeric_limits<double>::infinity();
+    for (const auto& p : devices_) {
+      if (routable(p->health)) {
+        least = std::min(least, p->load_us);
+      }
+    }
+    if (std::isfinite(least)) {
+      d.load_us = std::max(d.load_us, least);
+    }
     d.health = DeviceHealth::Healthy;
     d.consecutive_faults = 0;
     ++stats_.readmitted;
-    admit_cv_.notify_all();  // back in the routing set
+    work_cv_.notify_all();  // back in the routing set
   } else {
     if (mismatch) {
       ++stats_.corruption_detected;

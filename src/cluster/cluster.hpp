@@ -4,15 +4,16 @@
 //
 //   submit(tenant, plan, payload)
 //     -> bounded admission queue (reject / shed-oldest / block on overload,
-//        round-robin fairness across tenants)
-//     -> dispatcher routes to the alive device with the least outstanding
-//        modeled work (per-plan cost estimates measured at registration,
-//        so a scalar soft-CPU device naturally takes less traffic than a
-//        950 MHz multicore device)
-//     -> per-device worker replays the plan's pre-instantiated GraphExec
-//        on a per-tenant stream -- the per-request hot path is ONE
-//        copy-in rebind + composite replay, no re-validation, no
-//        re-assembly, and (for prologue kernels) no I-MEM touch at all
+//        round-robin fairness across tenants) -- the only place work waits
+//     -> each per-device worker pulls the queue head when its device is
+//        the head's routing argmin: the least modeled load taken so far
+//        plus the plan's cost there (per-plan cost estimates measured at
+//        registration, so a scalar soft-CPU device naturally takes less
+//        traffic than a 950 MHz multicore device)
+//     -> the worker replays the plan's pre-instantiated GraphExec on a
+//        per-tenant stream -- the per-request hot path is ONE copy-in
+//        rebind + composite replay, no re-validation, no re-assembly, and
+//        (for prologue kernels) no I-MEM touch at all
 //     -> the request's ClusterTicket resolves with the output slice,
 //        host latency, and the serving device.
 //
@@ -23,15 +24,16 @@
 // ClusterConfig::retry_backoff_us is set -- and only
 // ClusterConfig::quarantine_after consecutive transients quarantine it. A
 // hard fault (anything else thrown by the device) quarantines immediately:
-// no new routes, queued work fails over to the survivors, the faulted
-// request retries elsewhere up to ClusterConfig::max_retries. With
-// probation_delay_us set, a quarantined device is later probed with a
-// canary replay (its golden output was captured at plan registration) and
-// re-admitted when the canary round-trips bit-exact.
+// no new routes (queued work waits in the shared admission queue, so the
+// survivors take it), the faulted request retries elsewhere up to
+// ClusterConfig::max_retries. With probation_delay_us set, a quarantined
+// device is later probed with a canary replay (its golden output was
+// captured at plan registration) and re-admitted when the canary
+// round-trips bit-exact.
 // DeviceCluster::unplug(i) is the administrative version of the quarantine
-// path, minus the probation: in-flight work drains, queued work fails
-// over, nothing accepted is lost. With every device gone, new submissions
-// are rejected at admission.
+// path, minus the probation: in-flight work drains, nothing accepted is
+// lost. With every device gone, queued work resolves Failed and new
+// submissions are rejected at admission.
 //
 // Deadlines: ClusterConfig::default_deadline_us (overridable per request
 // via SubmitOptions) bounds a request's whole life; a watchdog thread
@@ -73,9 +75,9 @@ enum class OverloadPolicy {
 };
 
 struct ClusterConfig {
-  /// Admission-queue bound across all tenants (requests queued but not yet
-  /// routed to a device). Fail-overs re-enter above the bound: accepted
-  /// work is never shed by its own retry.
+  /// Admission-queue bound across all tenants (requests not yet taken by a
+  /// device worker). Retries re-enter above the bound: accepted work is
+  /// never shed by its own retry.
   std::size_t queue_capacity = 64;
   OverloadPolicy policy = OverloadPolicy::Reject;
   /// Fail-over attempts per request before it resolves Failed.
@@ -275,8 +277,8 @@ struct ClusterStats {
 class DeviceCluster {
  public:
   /// Open one device per descriptor and start the serving threads (one
-  /// dispatcher plus one worker per device). Throws simt::Error on an
-  /// empty descriptor list.
+  /// watchdog plus one worker per device). Throws simt::Error on an empty
+  /// descriptor list.
   explicit DeviceCluster(std::vector<runtime::DeviceDescriptor> descs,
                          ClusterConfig cfg = {});
   ~DeviceCluster();
@@ -305,10 +307,10 @@ class DeviceCluster {
   /// Block until every accepted request has reached a terminal state.
   void drain();
 
-  /// Hot-unplug: stop routing to device `i`, let its in-flight replays
-  /// drain, and fail its queued work over to the surviving devices.
-  /// Accepted requests are never lost; with no survivors they resolve
-  /// Failed and new submissions are Rejected.
+  /// Hot-unplug: stop routing to device `i` and let its in-flight replay
+  /// drain; the surviving devices take the queued work. Accepted requests
+  /// are never lost; with no survivors they resolve Failed and new
+  /// submissions are Rejected.
   void unplug(std::size_t i);
   /// Routable (Healthy or Degraded)?
   bool alive(std::size_t i) const;
@@ -324,8 +326,9 @@ class DeviceCluster {
   void arm_faults();
   void disarm_faults();
 
-  /// Hold the dispatcher between requests (in-flight routing finishes).
-  /// Lets tests build a queue backlog deterministically.
+  /// Hold the workers between requests: in-flight replays finish, nothing
+  /// new is taken from the admission queue. Lets tests build a queue
+  /// backlog deterministically.
   void pause();
   void resume();
 
@@ -339,22 +342,34 @@ class DeviceCluster {
   struct DeviceState;
   struct Request;
 
-  void dispatcher_loop();
+  /// Pull the admission queue's head whenever this device is its routing
+  /// argmin, and replay it; run canary probes the watchdog asks for.
   void worker_loop(std::size_t device);
-  /// Deadline + probation timer thread: fails overdue work wherever it
-  /// sits (queued, delayed, in flight) and promotes rested quarantined
+  /// Deadline + backoff + probation timer thread: fails overdue work
+  /// wherever it sits (queued, delayed, in flight), moves due backoff
+  /// retries into the admission queue, and promotes rested quarantined
   /// devices to Probation.
   void watchdog_loop();
-  /// Issue one request on its routed device and run the replay to
+  /// Issue one taken request on this device and run the replay to
   /// completion before returning (worker thread only).
-  void issue(std::size_t device, Request req);
+  void issue(std::size_t device, PlanEntry& entry, Request req);
   /// Join the request's replay on the worker thread and resolve its ticket.
   void complete(std::size_t device, PlanEntry& entry,
                 const runtime::Event& event, Request req);
   /// Canary-replay a device on probation (worker thread, off-lock);
   /// re-admits on a bit-exact round trip, re-quarantines otherwise.
   void probe_device(std::size_t device);
-  std::size_t alive_count_locked() const;
+  /// The routable device that should serve `plan` next: least load_us plus
+  /// the plan's cost there (doubled while Degraded), ties to the lowest
+  /// index; -1 if no routable device holds the plan (lock held).
+  int route_locked(const std::string& plan) const;
+  /// Take the round-robin head of the admission queue (lock held; the
+  /// queue must be non-empty).
+  Request pop_head_locked();
+  /// Remove every queued request `pred` selects and resolve it Failed with
+  /// `error`; returns how many (lock held).
+  std::size_t fail_queued_locked(
+      const std::function<bool(const Request&)>& pred, const char* error);
   /// Add a request to its tenant's admission FIFO (lock held). `front`
   /// requeues fail-over work ahead of newer traffic, above the bound.
   void enqueue_locked(Request req, bool front);
@@ -378,29 +393,27 @@ class DeviceCluster {
   void finish_locked(Request& req, RequestStatus status,
                      std::vector<std::uint32_t> output, std::string error,
                      int device, bool accepted = true);
-  /// Stop routing to a device and fail its queued work over (lock held).
-  /// `fault` distinguishes Quarantined (probation-eligible) from
-  /// Unplugged.
+  /// Stop routing to a device and fail the queued work no routable device
+  /// can serve any more (lock held). `fault` distinguishes Quarantined
+  /// (probation-eligible) from Unplugged.
   void retire_device_locked(std::size_t device, bool fault);
 
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<DeviceState>> devices_;
-  std::thread dispatcher_;
   std::thread watchdog_;
 
   mutable std::mutex mu_;
-  std::condition_variable admit_cv_;  ///< wakes the dispatcher
+  std::condition_variable work_cv_;   ///< wakes the device workers
   std::condition_variable space_cv_;  ///< wakes Block-policy submitters
   std::condition_variable drain_cv_;  ///< wakes drain()
   std::condition_variable watch_cv_;  ///< wakes the watchdog
   bool stopping_ = false;
   bool paused_ = false;
 
-  /// Admission queue: per-tenant FIFOs plus a round-robin cursor so one
-  /// hot tenant cannot starve the others.
+  /// Admission queue: per-tenant FIFOs plus a round-robin ring of the
+  /// tenants with queued work, so one hot tenant cannot starve the others.
   std::deque<std::string> tenant_ring_;
   std::unordered_map<std::string, std::deque<Request>> tenants_;
-  std::size_t ring_cursor_ = 0;
   std::size_t queued_ = 0;
   /// Backoff parking lot: retried requests waiting out their delay. Not
   /// counted in queued_ (a retry never competes with fresh admission);

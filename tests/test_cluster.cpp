@@ -1,16 +1,20 @@
 // Tests for the DeviceCluster serving tier: admission control (reject /
-// shed-oldest / block), per-tenant round-robin fairness, outstanding-work
-// routing across mixed backends, plan-cached replay correctness (bit-
-// identical to a single-device launch_sync), hot-unplug fail-over, and
-// sticky-fault quarantine.
+// shed-oldest / block) and per-tenant round-robin fairness, with and without
+// pause(); routing on the modeled load clock across mixed backends and
+// independent of host timing; plan-cached replay correctness (bit-identical
+// to a single-device launch_sync); hot-unplug fail-over; and sticky-fault
+// quarantine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
+#include "common/faults.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
@@ -133,8 +137,8 @@ TEST(Cluster, ThreeBackendDifferential) {
                          rt::DeviceDescriptor::scalar_cpu(scfg)});
   cluster.register_plan(scale_plan(kN));
 
-  // Queue the whole burst with the dispatcher held so routing sees real
-  // backlog (outstanding-work spreading is what this test exercises).
+  // Queue the whole burst with the workers held so routing sees real
+  // backlog (load-clock spreading is what this test exercises).
   constexpr unsigned kRequests = 24;
   const char* tenants[] = {"dsp", "web", "ml"};
   cluster.pause();
@@ -172,6 +176,34 @@ TEST(Cluster, ThreeBackendDifferential) {
   EXPECT_TRUE(device_hit[1]);
 }
 
+TEST(Cluster, RoutingIgnoresHostTiming) {
+  // Two 2-device clusters that differ only in host timing: device 0 of the
+  // second stalls 2 ms in every launch. Routing runs on the modeled load
+  // clock, so both clusters split the same traffic the same way.
+  constexpr unsigned kN = 16;
+  const auto serve = [&](bool stall_dev0) {
+    auto dev0 = rt::DeviceDescriptor::simt_core(small_cfg());
+    if (stall_dev0) {
+      dev0.faults = faults::FaultInjector::from_spec("launch:stall=2ms", 1);
+    }
+    DeviceCluster cluster(
+        {std::move(dev0), rt::DeviceDescriptor::simt_core(small_cfg())});
+    cluster.register_plan(scale_plan(kN));
+    for (unsigned r = 0; r < 24; ++r) {
+      cluster.submit("t", "scale", payload_for(kN, r));
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    cluster.drain();
+    return cluster.stats();
+  };
+  const auto plain = serve(false);
+  const auto stalled = serve(true);
+  EXPECT_EQ(plain.completed, 24u);
+  EXPECT_EQ(stalled.completed, 24u);
+  EXPECT_EQ(plain.per_device_completed, stalled.per_device_completed);
+  EXPECT_EQ(plain.per_device_busy_us, stalled.per_device_busy_us);
+}
+
 // ---- fairness ---------------------------------------------------------------
 
 TEST(Cluster, RoundRobinFairnessUnderHotTenant) {
@@ -180,7 +212,7 @@ TEST(Cluster, RoundRobinFairnessUnderHotTenant) {
   cluster.register_plan(scale_plan(kN));
   const auto payload = payload_for(kN, 1);
 
-  // Build the backlog with the dispatcher held so admission order is
+  // Build the backlog with the workers held so admission order is
   // deterministic: 8 hot requests, then 2 cold ones.
   cluster.pause();
   std::vector<ClusterTicket> hot, cold;
@@ -200,6 +232,42 @@ TEST(Cluster, RoundRobinFairnessUnderHotTenant) {
   }
   EXPECT_EQ(cold[0].completion_seq(), 2u);
   EXPECT_EQ(cold[1].completion_seq(), 4u);
+}
+
+TEST(Cluster, ColdTenantOvertakesAnUnpausedHotBacklog) {
+  // No pause(): a 1 ms stall in every launch keeps the hot backlog waiting
+  // in the admission queue, where the tenant ring must let a late cold
+  // request overtake it.
+  constexpr unsigned kN = 16;
+  ClusterConfig cfg;
+  cfg.fault_spec = "launch:stall=1ms";
+  DeviceCluster cluster({rt::DeviceDescriptor::simt_core(small_cfg())}, cfg);
+  cluster.register_plan(scale_plan(kN));
+  const auto payload = payload_for(kN, 1);
+
+  std::vector<ClusterTicket> hot;
+  for (int i = 0; i < 32; ++i) {
+    hot.push_back(cluster.submit("hot", "scale", payload));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  std::vector<const ClusterTicket*> pending;
+  for (const auto& t : hot) {
+    if (!t.done()) {
+      pending.push_back(&t);
+    }
+  }
+  auto cold = cluster.submit("cold", "scale", payload);
+  cluster.drain();
+
+  ASSERT_GT(pending.size(), 8u) << "the hot backlog drained too early";
+  ASSERT_EQ(cold.status(), RequestStatus::Ok);
+  const auto ahead = std::count_if(
+      pending.begin(), pending.end(), [&](const ClusterTicket* t) {
+        return t->completion_seq() < cold.completion_seq();
+      });
+  // The hot request in flight, plus at most one more before the ring turns
+  // to the cold tenant; one of slack for a submit racing that snapshot.
+  EXPECT_LE(ahead, 3);
 }
 
 // ---- overload policies ------------------------------------------------------
@@ -232,6 +300,33 @@ TEST(Cluster, RejectPolicyBoundsTheQueue) {
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.rejected, 3u);
   EXPECT_EQ(stats.completed, 2u);
+}
+
+TEST(Cluster, RejectPolicyBoundsAnUnpausedBacklog) {
+  // No pause(): a 20 ms stall in every launch holds the lone worker inside
+  // its first replay while 16 submits arrive 0.5 ms apart. The backlog can
+  // only wait in the admission queue, so the capacity bound must hold there.
+  constexpr unsigned kN = 16;
+  ClusterConfig cfg;
+  cfg.queue_capacity = 4;
+  cfg.policy = OverloadPolicy::Reject;
+  cfg.fault_spec = "launch:stall=20ms";
+  DeviceCluster cluster({rt::DeviceDescriptor::simt_core(small_cfg())}, cfg);
+  cluster.register_plan(scale_plan(kN));
+  const auto payload = payload_for(kN, 1);
+
+  for (int i = 0; i < 16; ++i) {
+    cluster.submit("t", "scale", payload);
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  cluster.drain();
+
+  // One request in flight plus four queued, and one of slack for the
+  // worker taking a second request before the burst ends.
+  const auto stats = cluster.stats();
+  EXPECT_LE(stats.accepted, 6u);
+  EXPECT_EQ(stats.accepted + stats.rejected, 16u);
+  EXPECT_EQ(stats.completed, stats.accepted);
 }
 
 TEST(Cluster, ShedOldestEvictsTheOldest) {
@@ -300,7 +395,7 @@ TEST(Cluster, HotUnplugLosesNoAcceptedRequests) {
     goldens.push_back(golden_scale(payload, 3, 5));
     tickets.push_back(cluster.submit("t", "scale", payload));
     if (r == kRequests / 2) {
-      cluster.unplug(0);  // mid-run: in-flight drains, queued fails over
+      cluster.unplug(0);  // mid-run: in-flight drains, device 1 takes the rest
     }
   }
   cluster.drain();
@@ -332,6 +427,35 @@ TEST(Cluster, AllDevicesUnpluggedRejects) {
   EXPECT_EQ(t.status(), RequestStatus::Rejected);
   EXPECT_THROW(t.result(), Error);
   EXPECT_EQ(cluster.stats().rejected, 1u);
+}
+
+TEST(Cluster, LastUnplugFailsQueuedWork) {
+  constexpr unsigned kN = 16;
+  DeviceCluster cluster({rt::DeviceDescriptor::simt_core(small_cfg())});
+  cluster.register_plan(scale_plan(kN));
+
+  cluster.pause();
+  std::vector<ClusterTicket> tickets;
+  for (unsigned i = 0; i < 3; ++i) {
+    tickets.push_back(cluster.submit("t", "scale", payload_for(kN, i)));
+  }
+  cluster.unplug(0);
+  cluster.resume();
+  cluster.drain();
+
+  // Queued work with no device left to serve it resolves Failed; nothing
+  // hangs.
+  for (const auto& t : tickets) {
+    ASSERT_EQ(t.status(), RequestStatus::Failed);
+    try {
+      t.result();
+      FAIL() << "result() on a failed ticket must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("no alive devices"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(cluster.stats().failed, 3u);
 }
 
 TEST(Cluster, StickyFaultQuarantinesAndSurvivorServes) {

@@ -386,12 +386,12 @@ TEST(ClusterFaults, BlockedSubmitWakesOnDeadlineExpiry) {
   cluster::DeviceCluster cluster(
       {rt::DeviceDescriptor::simt_core(small_cfg())}, cfg);
   cluster.register_plan(scale_plan(16));
-  cluster.pause();  // hold the dispatcher so the queue stays full
+  cluster.pause();  // hold the worker so the queue stays full
 
   const auto payload = payload_for(16, 4);
   auto queued = cluster.submit("t", "scale", payload);
 
-  // The queue is full and the dispatcher is held: this submit blocks, and
+  // The queue is full and the worker is held: this submit blocks, and
   // its 10ms deadline -- not new space -- must wake it.
   cluster::SubmitOptions opts;
   opts.deadline_us = 10000;
