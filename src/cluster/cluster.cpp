@@ -168,7 +168,6 @@ struct DeviceCluster::Request {
   Clock::time_point submitted{};
   Clock::time_point deadline = kNoDeadline;
   Clock::time_point not_before{};  ///< backoff: re-queue no earlier
-  int priority = 0;
   unsigned retries = 0;
   std::uint64_t admit_seq = 0;   ///< admission order (shed-oldest key)
 };
@@ -483,7 +482,6 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
   req.scalars = std::move(scalars);
   req.ticket = ticket.state_;
   req.submitted = Clock::now();
-  req.priority = opts.priority;
   const std::int64_t deadline_us =
       opts.deadline_us < 0 ? cfg_.default_deadline_us : opts.deadline_us;
   if (deadline_us > 0) {
@@ -518,7 +516,7 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
     return ticket;
   }
 
-  if (queued_ >= cfg_.queue_capacity && !brownout_shed_locked(req.priority)) {
+  if (queued_ >= cfg_.queue_capacity) {
     switch (cfg_.policy) {
       case OverloadPolicy::Reject:
         finish_locked(req, RequestStatus::Rejected, {}, "admission queue full",
@@ -779,62 +777,6 @@ void DeviceCluster::shed_oldest_locked() {
                 -1);
 }
 
-bool DeviceCluster::brownout_shed_locked(int priority) {
-  if (cfg_.brownout_queue_delay_us == 0 || queued_ == 0) {
-    return false;
-  }
-  // Brownout trips only when the queue is genuinely stale: its oldest
-  // entry has waited past the threshold (a full-but-moving queue keeps
-  // the configured overload policy).
-  const auto now = Clock::now();
-  Clock::time_point oldest = now;
-  for (const auto& tenant : tenant_ring_) {
-    const auto& q = tenants_[tenant];
-    if (!q.empty()) {
-      oldest = std::min(oldest, q.front().submitted);
-    }
-  }
-  if (now - oldest < std::chrono::microseconds(cfg_.brownout_queue_delay_us)) {
-    return false;
-  }
-  // Shed the lowest-priority queued request (oldest among ties), but only
-  // if it is strictly lower-priority than the incoming one -- brownout
-  // reorders by importance, it never sheds peers for peers.
-  const std::string* victim_tenant = nullptr;
-  std::size_t victim_pos = 0;
-  int victim_prio = priority;
-  std::uint64_t victim_seq = ~0ull;
-  for (const auto& tenant : tenant_ring_) {
-    const auto& q = tenants_[tenant];
-    for (std::size_t p = 0; p < q.size(); ++p) {
-      const auto& r = q[p];
-      if (r.priority < victim_prio ||
-          (r.priority == victim_prio && victim_tenant != nullptr &&
-           r.admit_seq < victim_seq)) {
-        victim_tenant = &tenant;
-        victim_pos = p;
-        victim_prio = r.priority;
-        victim_seq = r.admit_seq;
-      }
-    }
-  }
-  if (victim_tenant == nullptr) {
-    return false;
-  }
-  auto& q = tenants_[*victim_tenant];
-  Request victim = std::move(q[victim_pos]);
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(victim_pos));
-  --queued_;
-  if (q.empty()) {
-    tenant_ring_.erase(
-        std::find(tenant_ring_.begin(), tenant_ring_.end(), *victim_tenant));
-  }
-  ++stats_.brownout_shed;
-  finish_locked(victim, RequestStatus::Shed,
-                {}, "brownout: shed for a higher-priority request", -1);
-  return true;
-}
-
 bool DeviceCluster::finish_ticket_locked(
     const std::shared_ptr<ClusterTicket::State>& st, RequestStatus status,
     std::vector<std::uint32_t> output, std::string error, int device,
@@ -866,7 +808,7 @@ bool DeviceCluster::finish_ticket_locked(
       ++stats_.rejected;
       break;
     case RequestStatus::Shed:
-      break;  // counted at the shed site (stats_.shed / brownout_shed)
+      break;  // counted at the shed site (stats_.shed)
     case RequestStatus::Failed:
       ++stats_.failed;
       break;

@@ -106,11 +106,6 @@ struct ClusterConfig {
   /// with a canary replay (Probation). 0 = quarantine is forever (the
   /// pre-probation behavior).
   std::uint64_t probation_delay_us = 0;
-  /// Brownout: when the queue is full AND its oldest entry has waited
-  /// longer than this, shed the lowest-priority queued request (if
-  /// strictly lower-priority than the incoming one) instead of applying
-  /// the overload policy blindly. 0 = off.
-  std::uint64_t brownout_queue_delay_us = 0;
 };
 
 /// Per-request admission options (submit()'s trailing parameter).
@@ -118,9 +113,6 @@ struct SubmitOptions {
   /// Request deadline: -1 = ClusterConfig::default_deadline_us, 0 = none,
   /// > 0 = this many microseconds from submit.
   std::int64_t deadline_us = -1;
-  /// Brownout ordering: higher-priority requests shed lower-priority
-  /// queued work first when the brownout threshold trips.
-  int priority = 0;
 };
 
 /// Device health state machine (see docs/robustness.md). Routable states
@@ -263,7 +255,6 @@ struct ClusterStats {
   std::uint64_t corruption_detected = 0;  ///< verify-hook / canary mismatches
   std::uint64_t probations = 0;   ///< Quarantined -> Probation transitions
   std::uint64_t readmitted = 0;   ///< Probation -> Healthy transitions
-  std::uint64_t brownout_shed = 0;  ///< low-priority brownout evictions
   std::size_t queued = 0;       ///< currently in the admission queue
   std::vector<std::uint64_t> per_device_completed;
   std::vector<DeviceHealth> per_device_health;
@@ -375,10 +366,6 @@ class DeviceCluster {
   void enqueue_locked(Request req, bool front);
   /// Evict the oldest queued request as Shed (lock held; ShedOldest).
   void shed_oldest_locked();
-  /// Brownout (lock held): if the queue is full, stale past the brownout
-  /// threshold, and holds a request strictly lower-priority than
-  /// `priority`, shed that request and return true (space was made).
-  bool brownout_shed_locked(int priority);
   /// Resolve a ticket to a terminal state and update counters (lock held).
   /// Returns false (and changes nothing) if the ticket is already
   /// terminal -- the watchdog and the completion path may race to it.

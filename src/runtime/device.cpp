@@ -183,62 +183,56 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   // prefetch it (RoundCost::stage_late_cycles).
   RangeSet merged_prev;
 
-  // ---- parallel staging plumbing ----
-  // Cores [0, stage_workers_) run their physical copy-in on their own
-  // persistent dispatch workers, queued ahead of the round's run job (the
-  // per-worker FIFO is the only ordering needed), so one core's staging
-  // overlaps sibling cores' staging and execution in real wall time. With
-  // a declared footprint the same workers also prefetch the next round's
-  // predictable stage set behind the current run job, overlapping the
-  // *previous* round's compute. Everything here is physical data movement
-  // only: the shard-map bookkeeping, staged-word counts, and modeled
-  // RoundCosts above are computed on the submitting thread exactly as in
-  // the serial (stage_workers == 0) path, so the modeled timeline is
-  // bit-identical either way.
-  std::vector<RangeSet> prefetched(num_cores);  ///< shipped ahead, per core
+  // ---- staging ----
+  // One body copies a core's stage set from the master into its private
+  // image: the Staging fault hook, then the copy (a fired Corrupt rule
+  // bends a local duplicate of the first range, never the master). Cores
+  // [0, stage_workers_) run it on their own dispatch worker as the first
+  // half of the round's one run job, so one core's copy-in overlaps
+  // sibling cores' staging and execution in real wall time; the rest run
+  // it inline before the round. Only the physical copy moves: the shard
+  // maps, staged-word counts, and modeled RoundCosts are computed on the
+  // submitting thread either way, so the modeled timeline is bit-identical
+  // for every stage_workers value.
   std::vector<double> stage_us(num_cores, 0.0);
-  std::vector<std::exception_ptr> stage_errors(num_cores);
-  // Stage jobs capture references into this frame: never leave it with
-  // jobs still queued (finish_run drains on the normal path; this guard
-  // covers a throwing merge or bookkeeping step).
-  struct DrainGuard {
-    system::MultiCoreSystem& sys;
-    ~DrainGuard() { sys.drain(); }
-  } drain_guard{sys_};
-  const auto post_stage = [&](unsigned c, RangeSet set) {
-    sys_.post(c, [this, c, &stage_us, &stage_errors, set = std::move(set)] {
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        faults::SiteOutcome bend;
-        if (faults_) {
-          bend = faults_->at(faults::FaultSite::Staging);
-        }
-        auto& gpu = sys_.core(c);
-        bool first = true;
-        for (const auto& r : set.ranges()) {
-          if (first && bend.corrupt && r.words() > 0) {
-            // Corrupt the staged copy, never the master image: flip one
-            // bit of a local duplicate of the first range and ship that.
-            std::vector<std::uint32_t> bent(master_.data() + r.lo,
-                                            master_.data() + r.lo +
-                                                r.words());
-            bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
-            gpu.write_shared_span(
-                r.lo, std::span<const std::uint32_t>(bent.data(),
-                                                     bent.size()));
-          } else {
-            gpu.write_shared_span(
-                r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
-                                                     r.words()));
-          }
-          first = false;
-        }
-      } catch (...) {
-        stage_errors[c] = std::current_exception();
+  const auto stage_core = [this, &stage_us](unsigned c, const RangeSet& set) {
+    const auto t0 = std::chrono::steady_clock::now();
+    faults::SiteOutcome bend;
+    if (faults_) {
+      bend = faults_->at(faults::FaultSite::Staging);
+    }
+    auto& gpu = sys_.core(c);
+    bool first = true;
+    for (const auto& r : set.ranges()) {
+      std::span<const std::uint32_t> src(master_.data() + r.lo, r.words());
+      std::vector<std::uint32_t> bent;
+      if (first && bend.corrupt && r.words() > 0) {
+        bent.assign(src.begin(), src.end());
+        bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
+        src = bent;
       }
-      stage_us[c] += host_us_since(t0);
-    });
+      gpu.write_shared_span(r.lo, src);
+      first = false;
+    }
+    stage_us[c] += host_us_since(t0);
   };
+
+  // A faulted round (a staging fault or a faulting kernel) leaves core
+  // images that no longer match their shard maps: on the way out of a
+  // throwing launch, mark every image wholly stale so the next launch
+  // restages from the master.
+  struct RestageOnFault {
+    std::vector<RangeSet>& stale;
+    std::uint32_t words;
+    int unwinding = std::uncaught_exceptions();
+    ~RestageOnFault() {
+      if (std::uncaught_exceptions() > unwinding) {
+        for (auto& map : stale) {
+          map.insert(0, words);
+        }
+      }
+    }
+  } restage{stale_, static_cast<std::uint32_t>(master_.size())};
 
   unsigned done = 0;
   while (done < threads) {
@@ -268,30 +262,11 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
             slice_ranges(footprint.sliced_writes, base, base + sizes[c]));
         touched = union_sets(touched, sliced);
       }
-      const RangeSet to_stage =
+      RangeSet to_stage =
           footprint.declared ? intersect_sets(stale_[c], touched)
                              : std::move(stale_[c]);
       const std::uint64_t staged = to_stage.words();
       const std::uint64_t late = overlap_words(to_stage, merged_prev);
-      // Physical copy: skip whatever a prefetch job already shipped (the
-      // prefetched set is always a subset of this round's to_stage and was
-      // copied from an identical master image). The logical accounting
-      // above still covers the full to_stage set.
-      RangeSet to_copy = prefetched[c].empty()
-                             ? to_stage
-                             : subtract_sets(to_stage, prefetched[c]);
-      prefetched[c].clear();
-      if (c < stage_workers_) {
-        post_stage(c, std::move(to_copy));
-      } else {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const auto& r : to_copy.ranges()) {
-          gpu.write_shared_span(
-              r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
-                                                   r.words()));
-        }
-        stage_us[c] += host_us_since(t0);
-      }
       if (footprint.declared) {
         stale_[c] = subtract_sets(stale_[c], to_stage);
         skipped[c] = union_sets(skipped[c], stale_[c]);
@@ -306,64 +281,20 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
           staging_cycles(late, staging_words_per_cycle_);
       gpu.set_thread_base(base);
       gpu.set_ntid_override(threads);  // %ntid = the logical grid
-      dispatches.push_back({c, sizes[c], entry});
+      system::Dispatch d{c, sizes[c], entry};
+      if (c < stage_workers_) {
+        d.stage = [&stage_core, c, set = std::move(to_stage)] {
+          stage_core(c, set);
+        };
+      } else {
+        stage_core(c, to_stage);
+      }
+      dispatches.push_back(std::move(d));
       slice_lo[c] = base;
       base += sizes[c];
     }
 
-    auto pending = sys_.begin_run(dispatches);
-
-    // Cross-round prefetch (declared footprints only): the next round's
-    // structure is deterministic, so each staging worker can ship its
-    // core's predictable stage set behind this round's run job -- the copy
-    // executes while slower sibling cores are still running. Excluded is
-    // everything any core may write this round: those master words can
-    // change in the coming merge (and are exactly what the merge adds to
-    // the shard maps), so they are the data-dependent "late" staging the
-    // pipeline model charges after the merge. What remains is a subset of
-    // the next round's to_stage with a merge-invariant master value, which
-    // is why the skip in the physical copy above is exact.
-    if (stage_workers_ > 0 && footprint.declared &&
-        done + round_total < threads) {
-      RangeSet writable_now = footprint.writes;
-      for (const auto& d : dispatches) {
-        writable_now = union_sets(
-            writable_now,
-            slice_ranges(footprint.sliced_writes, slice_lo[d.core],
-                         slice_lo[d.core] + d.threads));
-      }
-      const unsigned next_done = done + round_total;
-      const unsigned next_total = std::min(threads - next_done, capacity);
-      const unsigned next_cores = std::min(num_cores, next_total);
-      const auto next_sizes = balanced_split(next_total, next_cores);
-      unsigned next_base = next_done;
-      for (unsigned c = 0; c < next_cores; ++c) {
-        const unsigned lo = next_base;
-        const unsigned hi = next_base + next_sizes[c];
-        next_base = hi;
-        if (next_sizes[c] == 0 || c >= stage_workers_) {
-          continue;
-        }
-        const RangeSet next_touched = union_sets(
-            touched_static,
-            union_sets(slice_ranges(footprint.sliced_reads, lo, hi),
-                       slice_ranges(footprint.sliced_writes, lo, hi)));
-        RangeSet pre = subtract_sets(intersect_sets(stale_[c], next_touched),
-                                     writable_now);
-        if (pre.empty()) {
-          continue;
-        }
-        prefetched[c] = pre;
-        post_stage(c, std::move(pre));
-      }
-    }
-
-    const auto res = sys_.finish_run(pending);
-    for (const auto& e : stage_errors) {
-      if (e) {
-        std::rethrow_exception(e);
-      }
-    }
+    const auto res = sys_.run(dispatches);
 
     // Roll up: cores run in parallel, so the round's clock cost is the
     // critical-path core; work counters sum across cores.
@@ -463,15 +394,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       }
     }
     merged_prev = std::move(merged_now);
-    // Belt and braces: a prefetched word that did get merged carries a
-    // stale value now -- drop it so the next round's physical copy
-    // restages it. By construction (prefetch excludes the round's writable
-    // set) this subtraction is a no-op.
-    for (unsigned c = 0; c < num_cores; ++c) {
-      if (!prefetched[c].empty()) {
-        prefetched[c] = subtract_sets(prefetched[c], merged_prev);
-      }
-    }
     out.host_merge_us += host_us_since(merge_t0);
 
     round_costs.push_back(std::move(costs));

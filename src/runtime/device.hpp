@@ -59,13 +59,13 @@ struct DeviceDescriptor {
   double staging_words_per_cycle = 1.0;
   /// MultiCore only: how many cores run their per-round shard staging on
   /// their own persistent dispatch workers (capped at num_cores; the
-  /// default offloads every core). A staged core's copy-in overlaps
-  /// sibling cores' staging and execution in *real* simulator wall time,
-  /// and with a declared footprint the workers also prefetch the next
-  /// round's read set behind the current run. 0 pins the serial reference
-  /// path: every copy runs on the submitting thread (simt-run
-  /// --stage-workers). Purely physical -- the modeled timeline, staged-
-  /// word accounting, and all results are bit-identical either way.
+  /// default offloads every core). Such a core gets one job per round --
+  /// stage its shard, then run its kernel -- so its copy-in overlaps
+  /// sibling cores' staging and execution in *real* simulator wall time.
+  /// 0 pins the serial reference path: every copy runs on the submitting
+  /// thread before the round (simt-run --stage-workers). Purely physical
+  /// -- the modeled timeline, staged-word accounting, and all results are
+  /// bit-identical either way, and the Staging fault site fires on both.
   static constexpr unsigned kAllStageWorkers = ~0u;
   unsigned stage_workers = kAllStageWorkers;
   /// Optional deterministic fault plan (common/faults.hpp). Null (the
@@ -286,8 +286,8 @@ class MultiCoreBackend final : public DeviceBackend {
   /// on (host writes and sibling cores' merged output shards).
   std::vector<RangeSet> stale_;
   double staging_words_per_cycle_;
-  /// Cores [0, stage_workers_) stage (and prefetch) on their own dispatch
-  /// workers; the rest stage serially on the submitting thread. See
+  /// Cores [0, stage_workers_) stage inside their own dispatch worker's
+  /// run job; the rest stage serially on the submitting thread. See
   /// DeviceDescriptor::stage_workers.
   unsigned stage_workers_;
   /// The device's fault plan (Staging site); null = no injection.

@@ -144,7 +144,7 @@ PipelineModel model_pipeline(
   }
 
   // Overlap: per core, the DMA engine issues early(0), late(0), early(1)
-  // [prefetched during exec(0)], merge(0), late(1) [after every core's
+  // [copied during exec(0)], merge(0), late(1) [after every core's
   // merge(0) -- its data dependency], ... Execution of round r starts once
   // its staging is resident, this core's previous round retired, and the
   // round was dispatched (the system joins every core between rounds).

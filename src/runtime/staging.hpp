@@ -60,7 +60,7 @@ RangeSet union_sets(const RangeSet& a, const RangeSet& b);
 
 /// Modeled per-core cost of one hardware round. Staging is split by data
 /// dependency: the early part (host writes, ranges stale since before the
-/// previous round) can be prefetched while the previous round executes;
+/// previous round) can be copied in while the previous round executes;
 /// the late part re-stages words the previous round's merges produced, so
 /// it cannot start before those merges complete.
 struct RoundCost {

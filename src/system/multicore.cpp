@@ -44,11 +44,6 @@ void MultiCoreSystem::load_kernel(unsigned core, std::string_view source) {
 }
 
 SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches) {
-  return finish_run(begin_run(dispatches));
-}
-
-std::shared_ptr<PendingRun> MultiCoreSystem::begin_run(
-    const std::vector<Dispatch>& dispatches) {
   std::set<unsigned> seen;
   for (const auto& d : dispatches) {
     if (d.core >= cores_.size()) {
@@ -61,54 +56,53 @@ std::shared_ptr<PendingRun> MultiCoreSystem::begin_run(
   }
 
   // The cores are independent hardware; simulate them concurrently on the
-  // persistent per-core dispatch workers. A faulting core (e.g. an
-  // out-of-bounds store) must not tear down the process from a worker
-  // thread, so exceptions are captured and the first one rethrown on the
-  // caller after every core has settled. The jobs share ownership of the
-  // pending record, so the storage they write outlives any caller frame.
-  auto pending = std::make_shared<PendingRun>();
-  pending->dispatches = dispatches;
-  pending->per_core.resize(dispatches.size());
-  pending->host_us.resize(dispatches.size(), 0.0);
-  pending->errors.resize(dispatches.size());
-  for (std::size_t i = 0; i < dispatches.size(); ++i) {
-    pool_.post(dispatches[i].core, [this, pending, i] {
-      const auto& d = pending->dispatches[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        auto& gpu = cores_[d.core];
-        gpu.set_thread_count(d.threads);
-        pending->per_core[i] = gpu.run(d.entry);
-      } catch (...) {
-        pending->errors[i] = std::current_exception();
-      }
-      pending->host_us[i] =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-    });
+  // persistent per-core dispatch workers, one job per core: stage, then
+  // run. A faulting core (e.g. an out-of-bounds store) must not tear down
+  // the process from a worker thread, so exceptions are captured and the
+  // first one rethrown on the caller after every core has settled. The
+  // jobs write into this frame, which outlives them: drain() returns only
+  // once every worker is idle.
+  SystemRunResult res;
+  res.per_core.resize(dispatches.size());
+  res.host_us.resize(dispatches.size(), 0.0);
+  std::vector<std::exception_ptr> errors(dispatches.size());
+  try {
+    for (std::size_t i = 0; i < dispatches.size(); ++i) {
+      pool_.post(dispatches[i].core, [this, &dispatches, &res, &errors, i] {
+        const auto& d = dispatches[i];
+        try {
+          if (d.stage) {
+            d.stage();
+          }
+          const auto t0 = std::chrono::steady_clock::now();
+          auto& gpu = cores_[d.core];
+          gpu.set_thread_count(d.threads);
+          res.per_core[i] = gpu.run(d.entry);
+          res.host_us[i] = std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
+    }
+  } catch (...) {
+    pool_.drain();  // never leave this frame with jobs still queued
+    throw;
   }
-  return pending;
-}
-
-SystemRunResult MultiCoreSystem::finish_run(
-    const std::shared_ptr<PendingRun>& pending) {
   pool_.drain();
-  for (const auto& e : pending->errors) {
+  for (const auto& e : errors) {
     if (e) {
       std::rethrow_exception(e);
     }
   }
 
-  SystemRunResult res;
-  res.per_core = std::move(pending->per_core);
-  res.host_us = std::move(pending->host_us);
   for (const auto& r : res.per_core) {
     res.max_cycles = std::max(res.max_cycles, r.perf.cycles);
   }
   // Wall clock at the realized frequency of this system size (Table 2).
   SystemConfig effective = cfg_;
-  effective.num_cores = static_cast<unsigned>(pending->dispatches.size());
+  effective.num_cores = static_cast<unsigned>(dispatches.size());
   res.wall_us =
       static_cast<double>(res.max_cycles) / effective.clock_mhz();
   return res;

@@ -15,10 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +44,11 @@ struct Dispatch {
   unsigned core = 0;
   unsigned threads = 0;
   std::uint32_t entry = 0;  ///< I-MEM address to start execution at
+  /// Optional copy-in the core's worker runs right before the kernel, in
+  /// the same job (e.g. the runtime's shard staging), so one core's
+  /// staging overlaps sibling cores' staging and execution. If it throws,
+  /// this core's kernel is skipped and run() rethrows the error.
+  std::function<void()> stage = nullptr;
 };
 
 struct SystemRunResult {
@@ -66,16 +69,6 @@ struct SystemRunResult {
     }
     return n;
   }
-};
-
-/// A round in flight: results and captured exceptions for dispatches whose
-/// run jobs are queued on the per-core workers. shared_ptr-owned so the
-/// jobs keep the storage alive however the caller sequences finish_run.
-struct PendingRun {
-  std::vector<Dispatch> dispatches;
-  std::vector<core::RunResult> per_core;
-  std::vector<double> host_us;
-  std::vector<std::exception_ptr> errors;
 };
 
 class MultiCoreSystem {
@@ -102,31 +95,13 @@ class MultiCoreSystem {
 
   /// Launch the given dispatches concurrently (each core at most once) and
   /// account wall-clock at the realized system clock. Each core has a
-  /// persistent dispatch worker, so a round costs a queue push per core
-  /// rather than a thread spawn. Throws simt::Error on duplicate core ids;
-  /// a core that faults mid-kernel rethrows here after every core settled.
+  /// persistent dispatch worker and gets exactly one job per round -- its
+  /// Dispatch::stage (if any), then its kernel -- so a round costs a queue
+  /// push per core rather than a thread spawn. SystemRunResult::host_us
+  /// times the kernel alone. Throws simt::Error on duplicate core ids; a
+  /// core whose stage or kernel throws rethrows here after every core
+  /// settled.
   SystemRunResult run(const std::vector<Dispatch>& dispatches);
-
-  /// The split form of run() for callers that interleave their own work
-  /// with a round: begin_run validates the dispatches and queues one run
-  /// job per core (FIFO behind anything already posted to that core's
-  /// worker -- the ordering hook parallel staging rides on), and
-  /// finish_run drains the pool, rethrows the first captured fault, and
-  /// rolls the round up. Between the two the caller may post more jobs
-  /// (e.g. next-round prefetch copies that overlap sibling cores' still-
-  /// running kernels in real wall-clock time).
-  std::shared_ptr<PendingRun> begin_run(
-      const std::vector<Dispatch>& dispatches);
-  SystemRunResult finish_run(const std::shared_ptr<PendingRun>& pending);
-
-  /// Queue an arbitrary job on core `i`'s persistent worker (FIFO per
-  /// core). Jobs must not throw -- capture and re-raise at the call site.
-  /// drain() blocks until every worker's queue is empty and idle, and is
-  /// the synchronization point that makes worker-side effects visible.
-  void post(unsigned i, std::function<void()> job) {
-    pool_.post(i, std::move(job));
-  }
-  void drain() { pool_.drain(); }
 
   /// Partition [0, total) into per-core contiguous slices (last core takes
   /// the remainder). Helper for host-side work distribution.

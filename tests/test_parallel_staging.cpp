@@ -4,7 +4,7 @@
 // (stage_workers = 0) -- same final master image, same per-core private
 // images, same staged/merged/skipped word accounting, and same modeled
 // perf counters -- across randomized host dirty ranges, overlapping
-// footprints, multi-round grids, and the declared-footprint prefetch path.
+// footprints, multi-round grids, and declared footprints.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -177,9 +177,9 @@ TEST(ParallelStaging, RandomizedDifferentialMatchesSerial) {
   }
 }
 
-TEST(ParallelStaging, DeclaredFootprintPrefetchMatchesSerial) {
-  // The declared-footprint path additionally prefetches the next round's
-  // read set behind the current run; results must stay bit-identical.
+TEST(ParallelStaging, DeclaredFootprintMatchesSerial) {
+  // Declared footprints stage only each core's touched slice of the shard
+  // map; results must stay bit-identical.
   for (const std::uint64_t seed : {7ull, 8ull, 9ull}) {
     run_scenario(DeviceDescriptor::kAllStageWorkers, seed,
                  /*declared_abi=*/true,

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "kernels/kernels.hpp"
 
@@ -82,6 +84,55 @@ TEST(System, DispatchValidation) {
   EXPECT_THROW(sys.run({{5, 16}}), Error);           // no such core
   EXPECT_THROW(sys.run({{0, 16}, {0, 16}}), Error);  // duplicate core
   EXPECT_THROW(MultiCoreSystem(SystemConfig{0, {}, 927, 854}), Error);
+}
+
+TEST(System, StageRunsOnTheCoresWorkerBeforeItsKernel) {
+  MultiCoreSystem sys(small_system(2));
+  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  // Each core's inputs arrive only through its own stage callable.
+  std::vector<Dispatch> dispatches;
+  for (unsigned c = 0; c < 2; ++c) {
+    Dispatch d{c, 128};
+    d.stage = [&sys, c] {
+      for (unsigned i = 0; i < 128; ++i) {
+        sys.core(c).write_shared(i, i + c);
+        sys.core(c).write_shared(128 + i, 7 * (c + 1));
+      }
+    };
+    dispatches.push_back(std::move(d));
+  }
+  const auto res = sys.run(dispatches);
+  ASSERT_EQ(res.per_core.size(), 2u);
+  for (unsigned c = 0; c < 2; ++c) {
+    EXPECT_TRUE(res.per_core[c].exited);
+    for (unsigned i = 0; i < 128; ++i) {
+      EXPECT_EQ(sys.core(c).read_shared(256 + i), i + c + 7 * (c + 1))
+          << "core " << c << " i " << i;
+    }
+  }
+}
+
+TEST(System, ThrowingStageSkipsOnlyItsCore) {
+  MultiCoreSystem sys(small_system(3));
+  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  for (unsigned c = 0; c < 3; ++c) {
+    for (unsigned i = 0; i < 128; ++i) {
+      sys.core(c).write_shared(i, i);
+      sys.core(c).write_shared(128 + i, 1);
+    }
+  }
+  std::vector<Dispatch> dispatches{{0, 128}, {1, 128}, {2, 128}};
+  dispatches[1].stage = [] { throw Error("stage failed"); };
+  EXPECT_THROW(sys.run(dispatches), Error);
+  // The sibling cores still ran to completion; core 1's kernel never ran.
+  for (unsigned i = 0; i < 128; ++i) {
+    EXPECT_EQ(sys.core(0).read_shared(256 + i), i + 1) << i;
+    EXPECT_EQ(sys.core(1).read_shared(256 + i), 0u) << i;
+    EXPECT_EQ(sys.core(2).read_shared(256 + i), i + 1) << i;
+  }
+  // The system stays usable.
+  EXPECT_TRUE(sys.run({{1, 128}}).per_core[0].exited);
+  EXPECT_EQ(sys.core(1).read_shared(256 + 5), 6u);
 }
 
 TEST(System, AggregateThreadOps) {
