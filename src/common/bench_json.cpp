@@ -59,6 +59,11 @@ BenchReport& BenchReport::metric(std::string_view key, std::uint64_t value) {
   return *this;
 }
 
+BenchReport& BenchReport::metric(std::string_view key, long long value) {
+  metrics_.emplace_back(std::string(key), std::to_string(value));
+  return *this;
+}
+
 BenchReport& BenchReport::note(std::string_view key, std::string_view value) {
   std::string quoted;
   quoted += '"';

@@ -22,9 +22,7 @@ class BenchReport {
 
   BenchReport& metric(std::string_view key, double value);
   BenchReport& metric(std::string_view key, std::uint64_t value);
-  BenchReport& metric(std::string_view key, long long value) {
-    return metric(key, static_cast<std::uint64_t>(value));
-  }
+  BenchReport& metric(std::string_view key, long long value);
   BenchReport& metric(std::string_view key, unsigned value) {
     return metric(key, static_cast<std::uint64_t>(value));
   }

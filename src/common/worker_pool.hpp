@@ -1,14 +1,15 @@
 // Persistent worker threads with per-worker FIFO job queues.
 //
-// The multi-core system dispatches one job per core per round, and the
-// runtime scheduler drains one command queue per device; both used to pay a
-// thread spawn/join per batch of work. A WorkerPool keeps the threads alive
-// for the lifetime of the owner, so per-round dispatch is a queue push plus
-// a condition-variable wake instead of a pthread create.
+// The multi-core system offers each round's core jobs to one worker per
+// core; it used to pay a thread spawn/join per round. A WorkerPool keeps
+// the threads alive for the lifetime of the owner, so handing a job over
+// is a queue push plus a condition-variable wake instead of a pthread
+// create. The pool has no completion barrier: a poster that needs to know
+// when its jobs finished tracks that itself (system::MultiCoreSystem::run
+// counts the jobs its workers claimed).
 //
 // Jobs must not throw: wrap the body and capture std::current_exception()
-// at the call site if failure needs to propagate (see
-// system::MultiCoreSystem::run).
+// at the call site if failure needs to propagate.
 #pragma once
 
 #include <condition_variable>
@@ -56,22 +57,12 @@ class WorkerPool {
     w.wake.notify_all();
   }
 
-  /// Block until every queue is empty and every worker is idle.
-  void drain() {
-    for (auto& w : workers_) {
-      std::unique_lock<std::mutex> lock(w.mutex);
-      w.idle.wait(lock, [&w] { return w.jobs.empty() && !w.busy; });
-    }
-  }
-
  private:
   struct Worker {
     std::thread thread;
     std::mutex mutex;
     std::condition_variable wake;
-    std::condition_variable idle;
     std::deque<std::function<void()>> jobs;
-    bool busy = false;
     bool stopping = false;
   };
 
@@ -84,14 +75,9 @@ class WorkerPool {
       }
       auto job = std::move(w.jobs.front());
       w.jobs.pop_front();
-      w.busy = true;
       lock.unlock();
       job();
       lock.lock();
-      w.busy = false;
-      if (w.jobs.empty()) {
-        w.idle.notify_all();
-      }
     }
   }
 

@@ -545,21 +545,29 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
   const std::uint32_t* a = rf_row(instr.ra);
   std::uint32_t* addrs = addr_scratch_.data();
   bool oob = false;
+  bool contiguous = true;
   for (unsigned t = 0; t < active; ++t) {
     addrs[t] = a[t] + imm;
     oob |= addrs[t] >= words;
+    contiguous &= addrs[t] == addrs[0] + t;
   }
   if (oob) {
     return false;
   }
+  // The store windows the runtime reads back match the scalar body's
+  // per-lane note_store exactly; a %tid-contiguous store extends them once.
+  if (contiguous && active > 0) {
+    note_store_run(addrs[0], addrs[0] + active);
+  } else {
+    for (unsigned t = 0; t < active; ++t) {
+      note_store(addrs[t]);
+    }
+  }
   // Scatter in thread order straight into every replicated copy: identical
   // to stage-all-then-commit (highest lane wins on address conflicts, and
-  // stores never read shared memory within the instruction). note_store
-  // runs per lane exactly as in the scalar body, so the merged-window
-  // bookkeeping the runtime reads back is unchanged.
+  // stores never read shared memory within the instruction).
   const std::uint32_t* data = rf_row(instr.rd);
   for (unsigned t = 0; t < active; ++t) {
-    note_store(addrs[t]);
     shared_.write_lane(addrs[t], data[t]);
   }
   lanes = active;
@@ -637,6 +645,51 @@ void Gpgpu::note_store(std::uint32_t addr) {
   store_win_[a] = {std::min(store_win_[a].first, store_win_[b].first),
                    std::max(store_win_[a].second, store_win_[b].second)};
   store_win_[b] = {addr, addr + 1};
+}
+
+void Gpgpu::note_store_run(std::uint32_t lo, std::uint32_t hi) {
+  // Equivalent to note_store(a) for a = lo .. hi-1 in order, in window
+  // contents and slot order. Lanes inside a window are no-ops. After a
+  // lane opens or grows the last-slot window W to end at `a`, each later
+  // lane sits at distance 1 from W and per-lane tracking would grow W by
+  // one word at a time -- until the lane one short of a window V above
+  // (a tie at distance 1, which the lower slot V wins) or a lane inside V.
+  // Any other shape (a sibling touching or overlapping W, or W not in the
+  // last slot after the merge path) falls back to one per-lane step.
+  std::uint32_t a = lo;
+  while (a < hi) {
+    bool inside = false;
+    for (unsigned i = 0; i < store_win_count_; ++i) {
+      if (a >= store_win_[i].first && a < store_win_[i].second) {
+        a = store_win_[i].second;
+        inside = true;
+        break;
+      }
+    }
+    if (inside) {
+      continue;
+    }
+    note_store(a++);
+    auto& w = store_win_[store_win_count_ - 1];
+    if (a == hi || w.second != a) {
+      continue;
+    }
+    std::uint32_t limit = hi;
+    for (unsigned i = 0; i + 1 < store_win_count_ && limit > a; ++i) {
+      const auto& [vlo, vhi] = store_win_[i];
+      if (vlo < a) {
+        if (vhi > w.first) {
+          limit = a;  // V overlaps W or ends at a: one per-lane step
+        }
+      } else {
+        limit = std::min(limit, vlo - 1);  // a <= vlo - 1 ties with V
+      }
+    }
+    if (limit > a) {
+      w.second = limit;
+      a = limit;
+    }
+  }
 }
 
 std::uint64_t Gpgpu::producer_bound(const ProducerRecord& p, unsigned my_width,

@@ -216,6 +216,8 @@ class Gpgpu {
   unsigned launch_threads_;
   unsigned active_threads_;
   void note_store(std::uint32_t addr);
+  /// note_store for every address of [lo, hi) in order, in O(windows).
+  void note_store_run(std::uint32_t lo, std::uint32_t hi);
 
   std::uint32_t thread_base_ = 0;
   std::uint32_t smid_ = 0;

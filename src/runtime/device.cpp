@@ -187,13 +187,14 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   // One body copies a core's stage set from the master into its private
   // image: the Staging fault hook, then the copy (a fired Corrupt rule
   // bends a local duplicate of the first range, never the master). Cores
-  // [0, stage_workers_) run it on their own dispatch worker as the first
-  // half of the round's one run job, so one core's copy-in overlaps
-  // sibling cores' staging and execution in real wall time; the rest run
-  // it inline before the round. Only the physical copy moves: the shard
-  // maps, staged-word counts, and modeled RoundCosts are computed on the
-  // submitting thread either way, so the modeled timeline is bit-identical
-  // for every stage_workers value.
+  // [0, stage_workers_) run it as the first half of the round's one run
+  // job (on the core's worker or the launching thread, whichever claims
+  // it), so one core's copy-in overlaps sibling cores' staging and
+  // execution in real wall time; the rest run it inline before the round.
+  // Only the physical copy moves: the shard maps, staged-word counts, and
+  // modeled RoundCosts are computed on the submitting thread either way,
+  // so the modeled timeline is bit-identical for every stage_workers
+  // value.
   std::vector<double> stage_us(num_cores, 0.0);
   const auto stage_core = [this, &stage_us](unsigned c, const RangeSet& set) {
     const auto t0 = std::chrono::steady_clock::now();

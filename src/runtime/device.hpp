@@ -57,10 +57,11 @@ struct DeviceDescriptor {
   /// default models a 32-bit bridge running at the core clock (one word
   /// per cycle), the common soft-logic host interface.
   double staging_words_per_cycle = 1.0;
-  /// MultiCore only: how many cores run their per-round shard staging on
-  /// their own persistent dispatch workers (capped at num_cores; the
-  /// default offloads every core). Such a core gets one job per round --
-  /// stage its shard, then run its kernel -- so its copy-in overlaps
+  /// MultiCore only: how many cores stage their per-round shard inside
+  /// their own run job (capped at num_cores; the default covers every
+  /// core). Such a core's round is one job -- stage its shard, then run
+  /// its kernel -- claimed by its persistent dispatch worker or by the
+  /// launching thread (MultiCoreSystem::run), so its copy-in overlaps
   /// sibling cores' staging and execution in *real* simulator wall time.
   /// 0 pins the serial reference path: every copy runs on the submitting
   /// thread before the round (simt-run --stage-workers). Purely physical
@@ -286,8 +287,8 @@ class MultiCoreBackend final : public DeviceBackend {
   /// on (host writes and sibling cores' merged output shards).
   std::vector<RangeSet> stale_;
   double staging_words_per_cycle_;
-  /// Cores [0, stage_workers_) stage inside their own dispatch worker's
-  /// run job; the rest stage serially on the submitting thread. See
+  /// Cores [0, stage_workers_) stage inside their own run job; the rest
+  /// stage serially on the submitting thread before the round. See
   /// DeviceDescriptor::stage_workers.
   unsigned stage_workers_;
   /// The device's fault plan (Staging site); null = no injection.

@@ -1,8 +1,11 @@
 #include "system/multicore.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <set>
 
 #include "common/error.hpp"
@@ -55,42 +58,84 @@ SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches) {
     }
   }
 
-  // The cores are independent hardware; simulate them concurrently on the
-  // persistent per-core dispatch workers, one job per core: stage, then
-  // run. A faulting core (e.g. an out-of-bounds store) must not tear down
-  // the process from a worker thread, so exceptions are captured and the
-  // first one rethrown on the caller after every core has settled. The
-  // jobs write into this frame, which outlives them: drain() returns only
-  // once every worker is idle.
+  // The cores are independent hardware; simulate each dispatch as one job
+  // -- stage, then run -- on whichever thread claims it first. A faulting
+  // core (e.g. an out-of-bounds store) must not tear down the process from
+  // a worker thread, so exceptions are captured and the first one rethrown
+  // on the caller after every claimed job has settled.
   SystemRunResult res;
   res.per_core.resize(dispatches.size());
   res.host_us.resize(dispatches.size(), 0.0);
   std::vector<std::exception_ptr> errors(dispatches.size());
+  const auto run_one = [this, &dispatches, &res, &errors](std::size_t i) {
+    const auto& d = dispatches[i];
+    try {
+      if (d.stage) {
+        d.stage();
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      auto& gpu = cores_[d.core];
+      gpu.set_thread_count(d.threads);
+      res.per_core[i] = gpu.run(d.entry);
+      res.host_us[i] = std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+
+  // Every dispatch but the last is offered to its core's worker; the
+  // caller then sweeps from the last one down. A one-word claim decides
+  // who runs each job, so a round whose jobs are shorter than a thread
+  // wake-up costs the caller its own work, not a handoff per core. Jobs
+  // touch this frame only after winning their claim, and the caller waits
+  // for exactly the jobs workers won; a worker that wakes late finds its
+  // claim taken and touches nothing but the shared round state.
+  struct Round {
+    explicit Round(std::size_t n) : claimed(n) {}
+    std::vector<std::atomic<bool>> claimed;
+    std::mutex mutex;
+    std::condition_variable settled_cv;
+    std::size_t settled = 0;  ///< worker-claimed jobs that have finished
+  };
+  const auto round = std::make_shared<Round>(dispatches.size());
+  std::exception_ptr post_error;
   try {
-    for (std::size_t i = 0; i < dispatches.size(); ++i) {
-      pool_.post(dispatches[i].core, [this, &dispatches, &res, &errors, i] {
-        const auto& d = dispatches[i];
-        try {
-          if (d.stage) {
-            d.stage();
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          auto& gpu = cores_[d.core];
-          gpu.set_thread_count(d.threads);
-          res.per_core[i] = gpu.run(d.entry);
-          res.host_us[i] = std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-        } catch (...) {
-          errors[i] = std::current_exception();
+    for (std::size_t i = 0; i + 1 < dispatches.size(); ++i) {
+      pool_.post(dispatches[i].core, [round, &run_one, i] {
+        if (round->claimed[i].exchange(true)) {
+          return;  // the caller took it
         }
+        run_one(i);
+        {
+          std::lock_guard<std::mutex> lock(round->mutex);
+          ++round->settled;
+        }
+        round->settled_cv.notify_one();
       });
     }
   } catch (...) {
-    pool_.drain();  // never leave this frame with jobs still queued
-    throw;
+    // Claim (without running) every job no worker has started, then
+    // settle the ones that did before leaving this frame.
+    post_error = std::current_exception();
   }
-  pool_.drain();
+  std::size_t worker_claimed = 0;
+  for (std::size_t i = dispatches.size(); i-- > 0;) {
+    if (round->claimed[i].exchange(true)) {
+      ++worker_claimed;
+    } else if (!post_error) {
+      run_one(i);
+    }
+  }
+  {
+    std::unique_lock<std::mutex> lock(round->mutex);
+    round->settled_cv.wait(
+        lock, [&] { return round->settled == worker_claimed; });
+  }
+  if (post_error) {
+    std::rethrow_exception(post_error);
+  }
   for (const auto& e : errors) {
     if (e) {
       std::rethrow_exception(e);

@@ -1,9 +1,11 @@
-// Tests for the shared utilities: RNG, fixed-point helpers, table printer.
+// Tests for the shared utilities: RNG, fixed-point helpers, table printer,
+// bench JSON writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "common/bench_json.hpp"
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
@@ -127,6 +129,17 @@ TEST(Error, CarriesMessage) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "something specific");
   }
+}
+
+TEST(BenchReport, NegativeIntegersStaySigned) {
+  BenchReport report("signs");
+  report.metric("neg", -3LL).metric("pos", 7LL);
+  report.metric("big", std::uint64_t{1} << 63);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"neg\": -3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"pos\": 7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"big\": 9223372036854775808"), std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -13,11 +13,14 @@
 //
 // Coverage: an exhaustive opcode x guard sweep over every guardable
 // (operation/load/store class) instruction, a control-flow program covering
-// the sequencer opcodes, randomized whole-program differentials, and a
+// the sequencer opcodes, randomized whole-program differentials, the
+// store windows a contiguous batched store tracks in one step, and a
 // runtime-level engines-x-backends check on the FIR+scale+reduce mix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asm/assembler.hpp"
@@ -130,6 +133,11 @@ void run_differential(const Program& prog, std::uint64_t seed,
   ASSERT_TRUE(ra.exited) << what;
   expect_perf_eq(rf.perf, ra.perf, what);
   expect_perf_eq(rf.perf, rs.perf, what + " (simd vs scalar lanes)");
+  // The write shard a runtime merges back: same windows, same slot order.
+  EXPECT_EQ(fast.store_windows(), accurate.store_windows())
+      << what << " (store windows vs bit-accurate)";
+  EXPECT_EQ(fast.store_windows(), scalar_fast.store_windows())
+      << what << " (store windows vs scalar lanes)";
 
   for (unsigned t = 0; t < kThreads; ++t) {
     for (unsigned r = 0; r < kRegs; ++r) {
@@ -468,6 +476,101 @@ TEST_P(FastPathRandom, EnginesMatchOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathRandom,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// ---- store-window tracking -------------------------------------------------
+
+/// `lanes` threads store to `base + stride * %tid`: one word when stride is
+/// 0 or lanes is 1, else a span (stride 1 is itself a contiguous run).
+struct ScatterStore {
+  std::uint32_t base;
+  unsigned lanes;
+  unsigned stride;
+};
+
+/// Scatter stores into a few windows, then one %tid-contiguous STS of
+/// `run_lanes` words at `run_base`. The batched engine tracks that run in
+/// one step; the scalar-lane and bit-accurate engines track it per lane.
+Program window_program(const std::vector<ScatterStore>& scatter,
+                       std::uint32_t run_base, unsigned run_lanes) {
+  std::string src = "movsr %r0, %tid\n";
+  for (const auto& s : scatter) {
+    src += "setti " + std::to_string(s.lanes) + "\n";
+    src += "muli %r1, %r0, " + std::to_string(s.stride) + "\n";
+    src += "sts [%r1 + " + std::to_string(s.base) + "], %r0\n";
+  }
+  src += "setti " + std::to_string(run_lanes) + "\n";
+  src += "sts [%r0 + " + std::to_string(run_base) + "], %r0\n";
+  src += "exit\n";
+  return assembler::assemble(src);
+}
+
+using Windows = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+Windows fast_windows(const Program& prog) {
+  Gpgpu gpu(engine_cfg(false));
+  gpu.load_program(prog);
+  gpu.set_thread_count(kThreads);
+  EXPECT_TRUE(gpu.run().exited);
+  return gpu.store_windows();
+}
+
+TEST(FastPath, StoreWindowRunsMatchPerLaneTracking) {
+  struct Case {
+    const char* what;
+    std::vector<ScatterStore> scatter;
+    std::uint32_t run_base;
+    unsigned run_lanes;
+    Windows expected;
+  };
+  const std::vector<Case> cases = {
+      {"run starts inside a window", {{100, 10, 1}}, 105, 64, {{100, 169}}},
+      {"run ends one word short of a later window",
+       {{300, 1, 0}}, 236, 63, {{300, 301}, {236, 299}}},
+      {"run's last lane ties with a later window",
+       {{300, 1, 0}}, 237, 63, {{237, 299}, {299, 301}}},
+      {"run spans a sibling window",
+       {{100, 10, 1}, {150, 10, 1}}, 100, 64, {{100, 149}, {149, 164}}},
+      // The merge path leaves [0, 101) overlapping the fresh {50}; the run's
+      // first growth absorbs it and reorders the slots.
+      {"run absorbs a sibling",
+       {{0, 1, 0}, {100, 1, 0}, {500, 1, 0}, {900, 1, 0}, {50, 1, 0}},
+       90, 20, {{900, 901}, {500, 501}, {0, 110}}},
+      // Four windows taken: the run's first lane merges the closest pair
+      // and opens in slot 1; its next lane moves it to the last slot.
+      {"run with all four slots taken",
+       {{0, 1, 0}, {200, 1, 0}, {400, 1, 0}, {600, 1, 0}},
+       800, 64, {{0, 201}, {600, 601}, {400, 401}, {800, 864}}},
+  };
+  for (const auto& c : cases) {
+    const auto prog = window_program(c.scatter, c.run_base, c.run_lanes);
+    EXPECT_EQ(fast_windows(prog), c.expected) << c.what;
+    run_differential(prog, 0x71d5, c.what);
+  }
+
+  // Seeded: 1-4 scatter stores (single words, stride-2 and stride-0
+  // spans), then a contiguous run anywhere, often landing in or beside
+  // the windows the scatter left.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Xoshiro256 rng(seed);
+    std::vector<ScatterStore> scatter;
+    const unsigned n = 1 + static_cast<unsigned>(rng.next_below(4));
+    for (unsigned i = 0; i < n; ++i) {
+      const unsigned lanes = 1 + static_cast<unsigned>(rng.next_below(16));
+      const unsigned stride = static_cast<unsigned>(rng.next_below(3));
+      scatter.push_back(
+          {static_cast<std::uint32_t>(rng.next_below(kSharedWords - 32)),
+           lanes, stride});
+    }
+    const unsigned run_lanes =
+        1 + static_cast<unsigned>(rng.next_below(kThreads));
+    auto run_base = static_cast<std::uint32_t>(
+        rng.chance(0.5) ? scatter[0].base + rng.next_below(40)
+                        : rng.next_below(kSharedWords));
+    run_base = std::min<std::uint32_t>(run_base, kSharedWords - run_lanes);
+    run_differential(window_program(scatter, run_base, run_lanes), seed,
+                     "window seed " + std::to_string(seed));
+  }
+}
 
 // ---- decoded image mechanics -----------------------------------------------
 

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "kernels/kernels.hpp"
 
 namespace simt::system {
@@ -86,7 +89,7 @@ TEST(System, DispatchValidation) {
   EXPECT_THROW(MultiCoreSystem(SystemConfig{0, {}, 927, 854}), Error);
 }
 
-TEST(System, StageRunsOnTheCoresWorkerBeforeItsKernel) {
+TEST(System, StageRunsBeforeItsKernelInTheSameJob) {
   MultiCoreSystem sys(small_system(2));
   sys.load_kernel_all(kernels::vecadd(0, 128, 256));
   // Each core's inputs arrive only through its own stage callable.
@@ -112,7 +115,10 @@ TEST(System, StageRunsOnTheCoresWorkerBeforeItsKernel) {
   }
 }
 
-TEST(System, ThrowingStageSkipsOnlyItsCore) {
+/// Dispatch cores 0-2 with `failing`'s stage throwing: run() rethrows, the
+/// sibling cores still ran to completion, the failing core's kernel never
+/// ran, and the system stays usable.
+void expect_throwing_stage_skips_only(unsigned failing) {
   MultiCoreSystem sys(small_system(3));
   sys.load_kernel_all(kernels::vecadd(0, 128, 256));
   for (unsigned c = 0; c < 3; ++c) {
@@ -122,17 +128,73 @@ TEST(System, ThrowingStageSkipsOnlyItsCore) {
     }
   }
   std::vector<Dispatch> dispatches{{0, 128}, {1, 128}, {2, 128}};
-  dispatches[1].stage = [] { throw Error("stage failed"); };
+  dispatches[failing].stage = [] { throw Error("stage failed"); };
   EXPECT_THROW(sys.run(dispatches), Error);
-  // The sibling cores still ran to completion; core 1's kernel never ran.
-  for (unsigned i = 0; i < 128; ++i) {
-    EXPECT_EQ(sys.core(0).read_shared(256 + i), i + 1) << i;
-    EXPECT_EQ(sys.core(1).read_shared(256 + i), 0u) << i;
-    EXPECT_EQ(sys.core(2).read_shared(256 + i), i + 1) << i;
+  for (unsigned c = 0; c < 3; ++c) {
+    for (unsigned i = 0; i < 128; ++i) {
+      EXPECT_EQ(sys.core(c).read_shared(256 + i), c == failing ? 0u : i + 1)
+          << "core " << c << " i " << i;
+    }
   }
-  // The system stays usable.
-  EXPECT_TRUE(sys.run({{1, 128}}).per_core[0].exited);
-  EXPECT_EQ(sys.core(1).read_shared(256 + 5), 6u);
+  EXPECT_TRUE(sys.run({{failing, 128}}).per_core[0].exited);
+  EXPECT_EQ(sys.core(failing).read_shared(256 + 5), 6u);
+}
+
+TEST(System, ThrowingStageSkipsOnlyItsCore) {
+  expect_throwing_stage_skips_only(1);
+}
+
+TEST(System, ThrowingLastStageSkipsOnlyItsCore) {
+  // The last dispatch is never offered to a worker: the calling thread
+  // claims it first, so its failure surfaces from the caller's own sweep.
+  expect_throwing_stage_skips_only(2);
+}
+
+TEST(System, EveryDispatchRunsExactlyOnce) {
+  // Workers and the calling thread race to claim each round's jobs; late
+  // workers must find their claim taken. Every (core, round) stage must run
+  // exactly once, and every kernel must see the inputs its stage wrote.
+  constexpr unsigned kCores = 4;
+  constexpr unsigned kRounds = 200;
+  MultiCoreSystem sys(small_system(kCores));
+  sys.load_kernel_all(kernels::vecadd(0, 64, 128));
+  std::vector<std::atomic<int>> staged(kCores * kRounds);
+  Xoshiro256 rng(0xc1a1);
+  for (unsigned round = 0; round < kRounds; ++round) {
+    std::vector<unsigned> cores{0, 1, 2, 3};
+    for (unsigned i = kCores - 1; i > 0; --i) {
+      std::swap(cores[i], cores[rng.next_below(i + 1)]);
+    }
+    cores.resize(1 + rng.next_below(kCores));
+    std::vector<Dispatch> dispatches;
+    for (const unsigned c : cores) {
+      Dispatch d{c, 64};
+      d.stage = [&sys, &staged, c, round] {
+        ++staged[round * kCores + c];
+        for (unsigned i = 0; i < 64; ++i) {
+          sys.core(c).write_shared(i, round + i);
+          sys.core(c).write_shared(64 + i, c);
+        }
+      };
+      dispatches.push_back(std::move(d));
+    }
+    const auto res = sys.run(dispatches);
+    ASSERT_EQ(res.per_core.size(), cores.size());
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+      const unsigned c = cores[k];
+      ASSERT_TRUE(res.per_core[k].exited) << "round " << round;
+      for (unsigned i = 0; i < 64; ++i) {
+        ASSERT_EQ(sys.core(c).read_shared(128 + i), round + i + c)
+            << "round " << round << " core " << c << " i " << i;
+      }
+    }
+    for (unsigned c = 0; c < kCores; ++c) {
+      const bool dispatched =
+          std::find(cores.begin(), cores.end(), c) != cores.end();
+      ASSERT_EQ(staged[round * kCores + c].load(), dispatched ? 1 : 0)
+          << "round " << round << " core " << c;
+    }
+  }
 }
 
 TEST(System, AggregateThreadOps) {
