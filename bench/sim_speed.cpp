@@ -9,22 +9,27 @@
 // engines:
 //
 //   fast:         the predecoded functional path with the SIMD-batched lane
-//                 engine and parallel staging workers (the defaults);
-//   fast-scalar:  the same predecoded path with simd_lanes pinned off and
-//                 stage_workers = 0 -- the PR-5 configuration, kept as the
-//                 in-bench baseline the batched engine must beat;
+//                 engine (the default);
+//   fast-scalar:  the same predecoded path with simd_lanes pinned off --
+//                 the PR-5 configuration, kept as the in-bench baseline the
+//                 batched engine must beat;
 //   bit-accurate: the structural Mul33/shifter/LogicUnit datapaths.
 //
 // Results must be bit-identical across engines and backends. Acceptance:
 // the fast path must deliver >= 3x the bit-accurate host throughput AND
-// >= 1.5x the fast-scalar (PR-5) throughput on the 4-core serving mix. The
-// bench exits nonzero on any failure and emits BENCH_sim_speed.json so CI
-// accumulates a perf trajectory, now including a per-opcode-class lane-Mops
-// breakdown and the measured staging wall time.
+// >= 1.5x the fast-scalar (PR-5) throughput on the 4-core serving mix. A
+// single timing of a few-millisecond row swings with host noise, so the
+// rows run interleaved, kReps times each, and every row reports (and every
+// gate compares) its fastest repetition: a noisy repetition cannot flip a
+// gate, and slow drift over the run hits every row alike. The bench exits
+// nonzero on any failure and emits BENCH_sim_speed.json so CI accumulates
+// a perf trajectory, including a per-opcode-class lane-Mops breakdown and
+// the measured staging wall time.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bench_json.hpp"
@@ -46,6 +51,7 @@ constexpr unsigned kChunk = 4;
 constexpr unsigned kPartials = kSamples / kChunk;
 constexpr double kThreshold = 3.0;
 constexpr double kSimdThreshold = 1.5;
+constexpr unsigned kReps = 5;  ///< interleaved repetitions per row
 
 std::vector<std::uint32_t> signal(unsigned iter) {
   std::vector<std::uint32_t> x(kSamples + kTaps);
@@ -160,7 +166,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("== Host simulation speed: %u-iteration FIR + scale + reduce "
-              "serving mix ==\n\n", iters);
+              "serving mix, best of %u interleaved runs ==\n\n",
+              iters, kReps);
 
   core::CoreConfig cfg;
   cfg.max_threads = 256;
@@ -188,10 +195,9 @@ int main(int argc, char** argv) {
                     runtime::DeviceDescriptor::simt_core(acc), {}});
     rows.push_back({"multicore4", "fast",
                     runtime::DeviceDescriptor::multi_core(4, fast), {}});
-    // The PR-5 configuration: scalar lane loops and serial staging.
-    auto scalar_desc = runtime::DeviceDescriptor::multi_core(4, fast_scalar);
-    scalar_desc.stage_workers = 0;
-    rows.push_back({"multicore4", "fast-scalar", scalar_desc, {}});
+    rows.push_back({"multicore4", "fast-scalar",
+                    runtime::DeviceDescriptor::multi_core(4, fast_scalar),
+                    {}});
     rows.push_back({"multicore4", "bit-accurate",
                     runtime::DeviceDescriptor::multi_core(4, acc), {}});
     baseline::ScalarCpuConfig scfg;
@@ -199,8 +205,14 @@ int main(int argc, char** argv) {
     rows.push_back({"scalar", "fast",
                     runtime::DeviceDescriptor::scalar_cpu(scfg), {}});
   }
-  for (auto& row : rows) {
-    row.r = run_mix(row.desc, iters);
+  // Interleave the rows and keep each row's fastest repetition.
+  for (unsigned rep = 0; rep < kReps; ++rep) {
+    for (auto& row : rows) {
+      MixResult r = run_mix(row.desc, iters);
+      if (rep == 0 || r.wall_s < row.r.wall_s) {
+        row.r = std::move(r);
+      }
+    }
   }
 
   Table t({"Backend", "engine", "host ms", "instrs", "host MIPS",

@@ -21,7 +21,6 @@ int main() {
   };
   const Config configs[] = {{1, 1}, {2, 1}, {4, 1}, {8, 1}, {4, 2}, {16, 1}};
   for (const auto& [r, w] : configs) {
-    const hw::MultiPortMemory mem(4096, r, w);
     const unsigned ld = core::width_factor_for(isa::TimingClass::Load, 16, r, w);
     const unsigned st =
         core::width_factor_for(isa::TimingClass::Store, 16, r, w);
@@ -31,8 +30,8 @@ int main() {
     if (r == 4 && w == 1) {
       name += " (paper)";
     }
-    t.add_row({name, fmt_int(ld), fmt_int(st), fmt_int(mem.m20k_blocks()),
-               fmt_int(cycles)});
+    t.add_row({name, fmt_int(ld), fmt_int(st),
+               fmt_int(hw::multiport_m20k_blocks(4096, r)), fmt_int(cycles)});
   }
   t.print();
 

@@ -6,7 +6,6 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "core/regfile.hpp"
 #include "hw/m20k.hpp"
 #include "hw/multiport_mem.hpp"
 
@@ -85,9 +84,14 @@ ModuleResources sp_other_resources(const core::CoreConfig& cfg) {
   const unsigned lane_control = 23;
   m.alms = operand_fetch + writeback_mux + rf_addressing + lane_control;
   split_registers(m, 489);
-  const core::RegisterFile rf(cfg.max_threads / cfg.num_sps,
-                              cfg.regs_per_thread);
-  m.m20k = rf.m20k_blocks();
+  // The register space is striped across the SPs: thread t's registers live
+  // in SP (t mod num_sps), so each SP's file is (max_threads / num_sps) x
+  // regs_per_thread deep and 32 wide. Its two read ports (operands A and B)
+  // are two replicated copies of a simple-dual-port memory, which is where
+  // Table 1's 4 M20K per SP come from (1024 deep x 32 wide = 2 blocks, x2).
+  const unsigned rf_depth =
+      cfg.max_threads / cfg.num_sps * cfg.regs_per_thread;
+  m.m20k = 2 * hw::m20k_blocks_for(rf_depth, 32);
   return m;
 }
 
@@ -114,9 +118,8 @@ ModuleResources shared_resources(const core::CoreConfig& cfg) {
   const unsigned control = 20;
   m.alms = read_addr_mux + write_data_mux + write_addr_mux + control;
   split_registers(m, 233);
-  const hw::MultiPortMemory mem(cfg.shared_mem_words, cfg.shared_read_ports,
-                                cfg.shared_write_ports);
-  m.m20k = mem.m20k_blocks();
+  m.m20k =
+      hw::multiport_m20k_blocks(cfg.shared_mem_words, cfg.shared_read_ports);
   return m;
 }
 

@@ -106,9 +106,7 @@ void Gpgpu::write_pred(unsigned thread, unsigned pred, bool value) {
 void Gpgpu::reset_state() {
   std::fill(rf_data_.begin(), rf_data_.end(), 0);
   std::fill(preds_.begin(), preds_.end(), 0);
-  for (unsigned a = 0; a < shared_.words(); ++a) {
-    shared_.poke(a, 0);
-  }
+  shared_.clear();
 }
 
 bool Gpgpu::guard_passes(const Instr& instr, unsigned thread) const {
@@ -476,9 +474,9 @@ bool Gpgpu::exec_load_batched(const Instr& instr, unsigned active,
   if (oob) {
     return false;
   }
-  // Gather from the committed image (all replicated copies agree, so the
-  // port a lane would arbitrate onto does not matter). The scratch holds
-  // the addresses, so rd == ra aliasing is already resolved.
+  // Gather from the committed image (every read port sees the same data,
+  // so the port a lane would arbitrate onto does not matter). The scratch
+  // holds the addresses, so rd == ra aliasing is already resolved.
   std::uint32_t* dst = rf_row(instr.rd);
   for (unsigned t = 0; t < active; ++t) {
     dst[t] = shared_.read_lane(addrs[t]);
@@ -501,22 +499,30 @@ unsigned Gpgpu::exec_load(const Instr& instr, unsigned active) {
 template <bool kGuarded>
 unsigned Gpgpu::exec_store_body(const Instr& instr, unsigned active) {
   // The 16:1 write mux serializes the lanes in thread order within each
-  // row, so on an address conflict the highest thread id wins.
+  // row, so on an address conflict the highest thread id wins. A trapping
+  // store commits nothing: every active lane's address is checked (first
+  // out-of-bounds lane in thread order reported) before any lane stages.
   const GuardMask g = kGuarded ? GuardMask::of(instr) : GuardMask{};
   const auto imm = static_cast<std::uint32_t>(instr.imm);
   const unsigned words = shared_.words();
+  std::uint32_t* addrs = addr_scratch_.data();
+  for (unsigned t = 0; t < active; ++t) {
+    if (kGuarded && !g.passes(preds_[t])) {
+      continue;
+    }
+    addrs[t] = rf_read(t, instr.ra) + imm;
+    if (addrs[t] >= words) {
+      throw Error("STS address out of bounds: thread " + std::to_string(t) +
+                  " addr " + std::to_string(addrs[t]));
+    }
+  }
   unsigned lanes = 0;
   for (unsigned t = 0; t < active; ++t) {
     if (kGuarded && !g.passes(preds_[t])) {
       continue;
     }
-    const std::uint32_t addr = rf_read(t, instr.ra) + imm;
-    if (addr >= words) {
-      throw Error("STS address out of bounds: thread " + std::to_string(t) +
-                  " addr " + std::to_string(addr));
-    }
-    note_store(addr);
-    shared_.write(addr, rf_read(t, instr.rd));
+    note_store(addrs[t]);
+    shared_.write(addrs[t], rf_read(t, instr.rd));
     ++lanes;
   }
   shared_.commit();
@@ -536,10 +542,9 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
         return false;
     }
   }
-  // Same bounds-check-everything-first discipline as the batched load: the
-  // scalar body's behavior on an out-of-bounds lane (stores staged for the
-  // lower lanes, then a throw that leaves them pending) is only reproducible
-  // from untouched state.
+  // Same bounds-check-everything-first discipline as the batched load: an
+  // out-of-bounds lane takes the scalar body, which reports the first such
+  // lane in thread order and commits nothing.
   const auto imm = static_cast<std::uint32_t>(instr.imm);
   const unsigned words = shared_.words();
   const std::uint32_t* a = rf_row(instr.ra);
@@ -563,8 +568,8 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
       note_store(addrs[t]);
     }
   }
-  // Scatter in thread order straight into every replicated copy: identical
-  // to stage-all-then-commit (highest lane wins on address conflicts, and
+  // Scatter in thread order straight into the image: identical to
+  // stage-all-then-commit (highest lane wins on address conflicts, and
   // stores never read shared memory within the instruction).
   const std::uint32_t* data = rf_row(instr.rd);
   for (unsigned t = 0; t < active; ++t) {

@@ -118,9 +118,6 @@ class Gpgpu {
   /// Zero registers, predicates, and shared memory.
   void reset_state();
 
-  const hw::MultiPortMemory& shared_memory() const { return shared_; }
-  const InstructionMemory& imem() const { return imem_; }
-
  private:
   struct ProducerRecord {
     std::uint64_t start = 0;   ///< issue-start cycle

@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "core/program.hpp"
-#include "hw/m20k.hpp"
 
 namespace simt::core {
 
@@ -44,9 +43,6 @@ class InstructionMemory {
 
   unsigned depth() const { return depth_; }
   unsigned valid_words() const { return valid_words_; }
-
-  /// M20K blocks: 64-bit word needs two 40-bit-wide block columns.
-  unsigned m20k_blocks() const { return hw::m20k_blocks_for(depth_, 64); }
 
  private:
   unsigned depth_;

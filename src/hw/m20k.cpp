@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/bits.hpp"
-#include "common/error.hpp"
 
 namespace simt::hw {
 
@@ -24,51 +23,6 @@ M20kMode m20k_best_mode(unsigned depth, unsigned width) {
 unsigned m20k_blocks_for(unsigned depth, unsigned width) {
   const M20kMode mode = m20k_best_mode(depth, width);
   return ceil_div(depth, mode.depth) * ceil_div(width, mode.width);
-}
-
-M20kArray::M20kArray(unsigned depth, unsigned width_bits)
-    : depth_(depth), width_(width_bits) {
-  SIMT_CHECK(depth_ > 0);
-  SIMT_CHECK(width_ > 0 && width_ <= 64);
-  blocks_ = m20k_blocks_for(depth_, width_);
-  mask_ = width_ >= 64 ? ~std::uint64_t{0}
-                       : ((std::uint64_t{1} << width_) - 1u);
-  data_.assign(depth_, 0);
-}
-
-std::uint64_t M20kArray::read(unsigned addr) const {
-  SIMT_CHECK(addr < depth_);
-  return data_[addr];
-}
-
-void M20kArray::write(unsigned addr, std::uint64_t data) {
-  SIMT_CHECK(addr < depth_);
-  staged_.emplace_back(addr, data & mask_);
-}
-
-void M20kArray::commit() {
-  for (const auto& [addr, value] : staged_) {
-    data_[addr] = value;
-  }
-  staged_.clear();
-}
-
-void M20kArray::poke_words32(unsigned addr,
-                             std::span<const std::uint32_t> data) {
-  SIMT_CHECK(width_ == 32);
-  SIMT_CHECK(addr <= depth_ && data.size() <= depth_ - addr);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data_[addr + i] = data[i];
-  }
-}
-
-void M20kArray::peek_words32(unsigned addr,
-                             std::span<std::uint32_t> out) const {
-  SIMT_CHECK(width_ == 32);
-  SIMT_CHECK(addr <= depth_ && out.size() <= depth_ - addr);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<std::uint32_t>(data_[addr + i]);
-  }
 }
 
 }  // namespace simt::hw

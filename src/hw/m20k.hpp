@@ -7,10 +7,6 @@
 // column placement dominate the floorplan (Figs. 6/7).
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
 namespace simt::hw {
 
 /// Geometry of one M20K configuration mode.
@@ -28,45 +24,5 @@ unsigned m20k_blocks_for(unsigned depth, unsigned width);
 
 /// The mode that minimizes block count for a given aspect ratio.
 M20kMode m20k_best_mode(unsigned depth, unsigned width);
-
-/// Behavioral model of a logical memory built from M20Ks: one write port,
-/// one read port, synchronous write with read-old-data semantics within a
-/// cycle. Writes are staged and applied by commit() (end of clock).
-class M20kArray {
- public:
-  M20kArray(unsigned depth, unsigned width_bits);
-
-  std::uint64_t read(unsigned addr) const;
-  void write(unsigned addr, std::uint64_t data);
-  /// Apply all staged writes (clock edge).
-  void commit();
-
-  /// Host backdoor bulk transfers for a 32-bit-wide array: direct copies
-  /// into/out of the backing store, bypassing the per-word write staging.
-  /// Requires width_bits == 32; bounds-checked as one span.
-  void poke_words32(unsigned addr, std::span<const std::uint32_t> data);
-  void peek_words32(unsigned addr, std::span<std::uint32_t> out) const;
-
-  /// Single-word backdoor access for the batched lane engine's gather/
-  /// scatter loops: no staging, no bounds check (callers have validated the
-  /// whole address block already). peek_raw returns the committed word;
-  /// poke_raw is equivalent to write()+commit() when nothing is staged.
-  std::uint64_t peek_raw(unsigned addr) const { return data_[addr]; }
-  void poke_raw(unsigned addr, std::uint64_t data) {
-    data_[addr] = data & mask_;
-  }
-
-  unsigned depth() const { return depth_; }
-  unsigned width_bits() const { return width_; }
-  unsigned block_count() const { return blocks_; }
-
- private:
-  unsigned depth_;
-  unsigned width_;
-  unsigned blocks_;
-  std::uint64_t mask_;
-  std::vector<std::uint64_t> data_;
-  std::vector<std::pair<unsigned, std::uint64_t>> staged_;
-};
 
 }  // namespace simt::hw

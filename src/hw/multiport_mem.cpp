@@ -1,39 +1,41 @@
 #include "hw/multiport_mem.hpp"
 
+#include <algorithm>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "hw/m20k.hpp"
 
 namespace simt::hw {
 
+unsigned multiport_m20k_blocks(unsigned words, unsigned read_ports) {
+  return read_ports * m20k_blocks_for(words, 32);
+}
+
 MultiPortMemory::MultiPortMemory(unsigned words, unsigned read_ports,
                                  unsigned write_ports)
-    : words_(words), read_ports_(read_ports), write_ports_(write_ports) {
-  SIMT_CHECK(words_ > 0);
+    : read_ports_(read_ports), write_ports_(write_ports), image_(words, 0) {
+  SIMT_CHECK(words > 0);
   SIMT_CHECK(read_ports_ >= 1);
   SIMT_CHECK(write_ports_ >= 1);
-  copies_.reserve(read_ports_);
-  for (unsigned i = 0; i < read_ports_; ++i) {
-    copies_.emplace_back(words_, 32);
-  }
 }
 
 std::uint32_t MultiPortMemory::read(unsigned port, std::uint32_t addr) const {
   SIMT_CHECK(port < read_ports_);
-  SIMT_CHECK(addr < words_);
-  return static_cast<std::uint32_t>(copies_[port].read(addr));
+  SIMT_CHECK(addr < image_.size());
+  return image_[addr];
 }
 
 void MultiPortMemory::write(std::uint32_t addr, std::uint32_t data) {
-  SIMT_CHECK(addr < words_);
-  for (auto& copy : copies_) {
-    copy.write(addr, data);
-  }
+  SIMT_CHECK(addr < image_.size());
+  staged_.emplace_back(addr, data);
 }
 
 void MultiPortMemory::commit() {
-  for (auto& copy : copies_) {
-    copy.commit();
+  for (const auto& [addr, value] : staged_) {
+    image_[addr] = value;
   }
+  staged_.clear();
 }
 
 std::uint32_t MultiPortMemory::peek(std::uint32_t addr) const {
@@ -47,20 +49,19 @@ void MultiPortMemory::poke(std::uint32_t addr, std::uint32_t data) {
 
 void MultiPortMemory::peek_span(std::uint32_t base,
                                 std::span<std::uint32_t> out) const {
-  SIMT_CHECK(base <= words_ && out.size() <= words_ - base);
-  copies_[0].peek_words32(base, out);
+  SIMT_CHECK(base <= image_.size() && out.size() <= image_.size() - base);
+  std::copy_n(image_.begin() + base, out.size(), out.begin());
 }
 
 void MultiPortMemory::poke_span(std::uint32_t base,
                                 std::span<const std::uint32_t> data) {
-  SIMT_CHECK(base <= words_ && data.size() <= words_ - base);
-  for (auto& copy : copies_) {
-    copy.poke_words32(base, data);
-  }
+  SIMT_CHECK(base <= image_.size() && data.size() <= image_.size() - base);
+  std::copy(data.begin(), data.end(), image_.begin() + base);
 }
 
-unsigned MultiPortMemory::m20k_blocks() const {
-  return read_ports_ * m20k_blocks_for(words_, 32);
+void MultiPortMemory::clear() {
+  std::fill(image_.begin(), image_.end(), 0);
+  staged_.clear();
 }
 
 unsigned MultiPortMemory::read_clocks(unsigned lanes) const {

@@ -119,12 +119,11 @@ void SimtCoreBackend::write_words(std::uint32_t base,
 
 MultiCoreBackend::MultiCoreBackend(
     const system::SystemConfig& cfg, double staging_words_per_cycle,
-    unsigned stage_workers, std::shared_ptr<faults::FaultInjector> faults)
+    std::shared_ptr<faults::FaultInjector> faults)
     : sys_(cfg),
       master_(cfg.core.shared_mem_words, 0),
       stale_(sys_.num_cores()),
       staging_words_per_cycle_(staging_words_per_cycle),
-      stage_workers_(std::min(stage_workers, sys_.num_cores())),
       faults_(std::move(faults)) {
   // Cores power up zeroed, exactly like the master image: every shard map
   // starts clean, and staleness accrues only from host writes and sibling
@@ -182,41 +181,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   // data-dependent on those merges, so the pipeline model must not
   // prefetch it (RoundCost::stage_late_cycles).
   RangeSet merged_prev;
-
-  // ---- staging ----
-  // One body copies a core's stage set from the master into its private
-  // image: the Staging fault hook, then the copy (a fired Corrupt rule
-  // bends a local duplicate of the first range, never the master). Cores
-  // [0, stage_workers_) run it as the first half of the round's one run
-  // job (on the core's worker or the launching thread, whichever claims
-  // it), so one core's copy-in overlaps sibling cores' staging and
-  // execution in real wall time; the rest run it inline before the round.
-  // Only the physical copy moves: the shard maps, staged-word counts, and
-  // modeled RoundCosts are computed on the submitting thread either way,
-  // so the modeled timeline is bit-identical for every stage_workers
-  // value.
-  std::vector<double> stage_us(num_cores, 0.0);
-  const auto stage_core = [this, &stage_us](unsigned c, const RangeSet& set) {
-    const auto t0 = std::chrono::steady_clock::now();
-    faults::SiteOutcome bend;
-    if (faults_) {
-      bend = faults_->at(faults::FaultSite::Staging);
-    }
-    auto& gpu = sys_.core(c);
-    bool first = true;
-    for (const auto& r : set.ranges()) {
-      std::span<const std::uint32_t> src(master_.data() + r.lo, r.words());
-      std::vector<std::uint32_t> bent;
-      if (first && bend.corrupt && r.words() > 0) {
-        bent.assign(src.begin(), src.end());
-        bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
-        src = bent;
-      }
-      gpu.write_shared_span(r.lo, src);
-      first = false;
-    }
-    stage_us[c] += host_us_since(t0);
-  };
 
   // A faulted round (a staging fault or a faulting kernel) leaves core
   // images that no longer match their shard maps: on the way out of a
@@ -282,15 +246,28 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
           staging_cycles(late, staging_words_per_cycle_);
       gpu.set_thread_base(base);
       gpu.set_ntid_override(threads);  // %ntid = the logical grid
-      system::Dispatch d{c, sizes[c], entry};
-      if (c < stage_workers_) {
-        d.stage = [&stage_core, c, set = std::move(to_stage)] {
-          stage_core(c, set);
-        };
-      } else {
-        stage_core(c, to_stage);
+      // Copy the stage set on this thread: the Staging fault hook, then the
+      // copy (a fired Corrupt rule bends a local duplicate of the first
+      // range, never the master).
+      const auto stage_t0 = std::chrono::steady_clock::now();
+      faults::SiteOutcome bend;
+      if (faults_) {
+        bend = faults_->at(faults::FaultSite::Staging);
       }
-      dispatches.push_back(std::move(d));
+      bool first = true;
+      for (const auto& r : to_stage.ranges()) {
+        std::span<const std::uint32_t> src(master_.data() + r.lo, r.words());
+        std::vector<std::uint32_t> bent;
+        if (first && bend.corrupt && r.words() > 0) {
+          bent.assign(src.begin(), src.end());
+          bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
+          src = bent;
+        }
+        gpu.write_shared_span(r.lo, src);
+        first = false;
+      }
+      out.per_core[c].host_stage_us += host_us_since(stage_t0);
+      dispatches.push_back({c, sizes[c], entry});
       slice_lo[c] = base;
       base += sizes[c];
     }
@@ -406,8 +383,7 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     sys_.core(c).set_thread_base(0);
     sys_.core(c).set_ntid_override(0);
     out.staged_words_skipped += skipped[c].words();
-    out.per_core[c].host_stage_us = stage_us[c];
-    out.host_stage_us += stage_us[c];
+    out.host_stage_us += out.per_core[c].host_stage_us;
     out.host_exec_us += out.per_core[c].host_exec_us;
   }
 
@@ -528,8 +504,7 @@ std::unique_ptr<DeviceBackend> make_backend(const DeviceDescriptor& desc) {
       cfg.num_cores = desc.num_cores;
       cfg.core = desc.core;
       return std::make_unique<MultiCoreBackend>(
-          cfg, desc.staging_words_per_cycle, desc.stage_workers,
-          desc.faults);
+          cfg, desc.staging_words_per_cycle, desc.faults);
     }
     case BackendKind::Scalar:
       return std::make_unique<ScalarBackend>(desc.scalar);

@@ -57,18 +57,6 @@ struct DeviceDescriptor {
   /// default models a 32-bit bridge running at the core clock (one word
   /// per cycle), the common soft-logic host interface.
   double staging_words_per_cycle = 1.0;
-  /// MultiCore only: how many cores stage their per-round shard inside
-  /// their own run job (capped at num_cores; the default covers every
-  /// core). Such a core's round is one job -- stage its shard, then run
-  /// its kernel -- claimed by its persistent dispatch worker or by the
-  /// launching thread (MultiCoreSystem::run), so its copy-in overlaps
-  /// sibling cores' staging and execution in *real* simulator wall time.
-  /// 0 pins the serial reference path: every copy runs on the submitting
-  /// thread before the round (simt-run --stage-workers). Purely physical
-  /// -- the modeled timeline, staged-word accounting, and all results are
-  /// bit-identical either way, and the Staging fault site fires on both.
-  static constexpr unsigned kAllStageWorkers = ~0u;
-  unsigned stage_workers = kAllStageWorkers;
   /// Optional deterministic fault plan (common/faults.hpp). Null (the
   /// default) keeps every injection hook an untaken null-check branch, so
   /// the modeled timeline and all results are bit-identical to a device
@@ -122,9 +110,9 @@ struct LaunchStats {
 
   // Measured host (simulator) wall-time splits -- what this process really
   // spent, so the modeled overlap above can be validated against reality.
-  // stage/exec sum across cores (they overlap under parallel staging, so
-  // the sum can exceed the end-to-end figure); merge is submitting-thread
-  // time; host_wall_us is the whole backend launch, end to end.
+  // stage/exec sum across cores (core runs on workers overlap, so the
+  // exec sum can exceed the end-to-end figure); stage and merge are
+  // launching-thread time; host_wall_us is the whole backend launch.
   double host_stage_us = 0.0;
   double host_exec_us = 0.0;
   double host_merge_us = 0.0;
@@ -254,7 +242,7 @@ class SimtCoreBackend final : public DeviceBackend {
 class MultiCoreBackend final : public DeviceBackend {
  public:
   MultiCoreBackend(const system::SystemConfig& cfg,
-                   double staging_words_per_cycle, unsigned stage_workers,
+                   double staging_words_per_cycle,
                    std::shared_ptr<faults::FaultInjector> faults = nullptr);
 
   std::string_view name() const override { return "multicore"; }
@@ -287,10 +275,6 @@ class MultiCoreBackend final : public DeviceBackend {
   /// on (host writes and sibling cores' merged output shards).
   std::vector<RangeSet> stale_;
   double staging_words_per_cycle_;
-  /// Cores [0, stage_workers_) stage inside their own run job; the rest
-  /// stage serially on the submitting thread before the round. See
-  /// DeviceDescriptor::stage_workers.
-  unsigned stage_workers_;
   /// The device's fault plan (Staging site); null = no injection.
   std::shared_ptr<faults::FaultInjector> faults_;
 };

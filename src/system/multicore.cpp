@@ -59,10 +59,10 @@ SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches) {
   }
 
   // The cores are independent hardware; simulate each dispatch as one job
-  // -- stage, then run -- on whichever thread claims it first. A faulting
-  // core (e.g. an out-of-bounds store) must not tear down the process from
-  // a worker thread, so exceptions are captured and the first one rethrown
-  // on the caller after every claimed job has settled.
+  // on whichever thread claims it first. A faulting core (e.g. an
+  // out-of-bounds store) must not tear down the process from a worker
+  // thread, so exceptions are captured and the first one rethrown on the
+  // caller after every claimed job has settled.
   SystemRunResult res;
   res.per_core.resize(dispatches.size());
   res.host_us.resize(dispatches.size(), 0.0);
@@ -70,9 +70,6 @@ SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches) {
   const auto run_one = [this, &dispatches, &res, &errors](std::size_t i) {
     const auto& d = dispatches[i];
     try {
-      if (d.stage) {
-        d.stage();
-      }
       const auto t0 = std::chrono::steady_clock::now();
       auto& gpu = cores_[d.core];
       gpu.set_thread_count(d.threads);

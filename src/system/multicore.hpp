@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,12 +43,6 @@ struct Dispatch {
   unsigned core = 0;
   unsigned threads = 0;
   std::uint32_t entry = 0;  ///< I-MEM address to start execution at
-  /// Optional copy-in run right before the kernel, in the same job and on
-  /// the same thread (e.g. the runtime's shard staging), so one core's
-  /// staging overlaps sibling cores' staging and execution. The job may
-  /// run on the core's worker or on the thread calling run(). If it
-  /// throws, this core's kernel is skipped and run() rethrows the error.
-  std::function<void()> stage = nullptr;
 };
 
 struct SystemRunResult {
@@ -95,15 +88,13 @@ class MultiCoreSystem {
   void load_image_all(std::shared_ptr<const core::DecodedImage> image);
 
   /// Launch the given dispatches concurrently (each core at most once) and
-  /// account wall-clock at the realized system clock. Each dispatch is one
-  /// job -- its Dispatch::stage (if any), then its kernel -- claimed
-  /// exactly once: every dispatch but the last is offered to its core's
-  /// persistent worker, and the calling thread claims and runs the rest
-  /// from the last one down, so a round of short jobs costs no handoff
-  /// while idle workers still take long ones in parallel.
-  /// SystemRunResult::host_us times the kernel alone. Throws simt::Error
-  /// on duplicate core ids; a core whose stage or kernel throws rethrows
-  /// here after every claimed job settled.
+  /// account wall-clock at the realized system clock. Each dispatch's
+  /// kernel is one job claimed exactly once: every dispatch but the last
+  /// is offered to its core's persistent worker, and the calling thread
+  /// claims and runs the rest from the last one down, so a round of short
+  /// jobs costs no handoff while idle workers still take long ones in
+  /// parallel. Throws simt::Error on duplicate core ids; a core whose
+  /// kernel throws rethrows here after every claimed job settled.
   SystemRunResult run(const std::vector<Dispatch>& dispatches);
 
   /// Partition [0, total) into per-core contiguous slices (last core takes

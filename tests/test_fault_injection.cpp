@@ -192,42 +192,36 @@ TEST(FaultSites, ReplaySiteFailsTheCompositeAndHeals) {
 }
 
 TEST(FaultSites, StagingSiteFiresOnMultiCoreAndIsSurvived) {
-  // The site fires on the worker path and on the serial reference path,
-  // and the retry (no host rewrite in between) restages every core from
-  // the master: the faulted round left images that no longer match their
-  // shard maps.
+  // The site fires on the first core's copy, before the round runs, and
+  // the retry (no host rewrite in between) restages every core's whole
+  // image from the master: the faulted launch left images that no longer
+  // match their shard maps.
   constexpr unsigned kN = 128;
-  for (const unsigned workers : {0u, rt::DeviceDescriptor::kAllStageWorkers}) {
-    auto desc = rt::DeviceDescriptor::multi_core(2, small_cfg());
-    desc.stage_workers = workers;
-    rt::Device dev(with_faults(std::move(desc), "staging:transient:limit=1"));
-    auto in = dev.alloc<std::uint32_t>(kN);
-    auto out = dev.alloc<std::uint32_t>(kN);
-    std::vector<std::uint32_t> host(kN);
-    for (unsigned i = 0; i < kN; ++i) {
-      host[i] = 0x100 + 3 * i;
-    }
-    in.write(host);
-    rt::Module& mod = dev.load_module(
-        "movsr %r0, %tid\n"
-        "lds %r1, [%r0 + " + std::to_string(in.word_base()) + "]\n"
-        "addi %r2, %r1, 1\n"
-        "sts [%r0 + " + std::to_string(out.word_base()) + "], %r2\n"
-        "exit\n");
-    const std::string what = "stage_workers=" + std::to_string(workers);
+  rt::Device dev(with_faults(rt::DeviceDescriptor::multi_core(2, small_cfg()),
+                             "staging:transient:limit=1"));
+  auto in = dev.alloc<std::uint32_t>(kN);
+  auto out = dev.alloc<std::uint32_t>(kN);
+  std::vector<std::uint32_t> host(kN);
+  for (unsigned i = 0; i < kN; ++i) {
+    host[i] = 0x100 + 3 * i;
+  }
+  in.write(host);
+  rt::Module& mod = dev.load_module(
+      "movsr %r0, %tid\n"
+      "lds %r1, [%r0 + " + std::to_string(in.word_base()) + "]\n"
+      "addi %r2, %r1, 1\n"
+      "sts [%r0 + " + std::to_string(out.word_base()) + "], %r2\n"
+      "exit\n");
 
-    EXPECT_THROW(dev.launch_sync(mod.kernel(), kN), faults::TransientFault)
-        << what;
-    const auto triggers = dev.fault_injector()->triggers(FaultSite::Staging);
-    if (workers == 0) {
-      EXPECT_GE(triggers, 1u) << what;
-    } else {
-      EXPECT_EQ(triggers, 2u) << what;  // both cores staged before settling
-    }
-    EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), kN)) << what;
-    for (unsigned i = 0; i < kN; ++i) {
-      ASSERT_EQ(out.at(i), host[i] + 1) << what << " word " << i;
-    }
+  EXPECT_THROW(dev.launch_sync(mod.kernel(), kN), faults::TransientFault);
+  EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 1u);
+  const auto stats = dev.launch_sync(mod.kernel(), kN);
+  ASSERT_EQ(stats.per_core.size(), 2u);
+  for (const auto& core : stats.per_core) {
+    EXPECT_EQ(core.staged_words, dev.mem_words()) << "core " << core.core;
+  }
+  for (unsigned i = 0; i < kN; ++i) {
+    ASSERT_EQ(out.at(i), host[i] + 1) << "word " << i;
   }
 }
 

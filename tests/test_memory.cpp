@@ -58,23 +58,6 @@ TEST(M20k, BlockCountExamples) {
   EXPECT_EQ(m20k_blocks_for(16, 8), 1u);
 }
 
-TEST(M20k, ArrayReadWriteCommit) {
-  M20kArray mem(512, 40);
-  EXPECT_EQ(mem.block_count(), 1u);
-  mem.write(7, 0x123456789ULL);
-  // Read-old-data until the clock edge.
-  EXPECT_EQ(mem.read(7), 0u);
-  mem.commit();
-  EXPECT_EQ(mem.read(7), 0x123456789ULL);
-}
-
-TEST(M20k, ArrayMasksToWidth) {
-  M20kArray mem(64, 20);
-  mem.write(0, 0xFFFFFFFFULL);
-  mem.commit();
-  EXPECT_EQ(mem.read(0), 0xFFFFFULL);  // 20-bit mask
-}
-
 // ---- multiport shared memory ----------------------------------------------
 
 TEST(MultiPort, FourReadPortsSeeSameData) {
@@ -85,7 +68,7 @@ TEST(MultiPort, FourReadPortsSeeSameData) {
   }
 }
 
-TEST(MultiPort, WriteUpdatesAllCopiesAtomically) {
+TEST(MultiPort, StagedWriteLandsAtCommit) {
   MultiPortMemory mem(256);
   mem.write(5, 111);
   // Before commit: all ports still read old data (read-during-write).
@@ -109,12 +92,23 @@ TEST(MultiPort, LastStagedWriteWins) {
 }
 
 TEST(MultiPort, BlockCountIsCopiesTimesDepthBlocks) {
-  // 16 KB (4096 words) at 4R-1W: 4 copies x 8 blocks = 32 M20Ks.
-  MultiPortMemory mem(4096, 4, 1);
-  EXPECT_EQ(mem.m20k_blocks(), 32u);
-  // A 2R-1W variant halves the copies.
-  MultiPortMemory mem2(4096, 2, 1);
-  EXPECT_EQ(mem2.m20k_blocks(), 16u);
+  // 16 KB (4096 words = 8 blocks per copy), one copy per read port: the
+  // bench/sweep_ports configurations, with the paper's 4R at 32 M20Ks.
+  EXPECT_EQ(multiport_m20k_blocks(4096, 1), 8u);
+  EXPECT_EQ(multiport_m20k_blocks(4096, 2), 16u);
+  EXPECT_EQ(multiport_m20k_blocks(4096, 4), 32u);
+  EXPECT_EQ(multiport_m20k_blocks(4096, 8), 64u);
+  EXPECT_EQ(multiport_m20k_blocks(4096, 16), 128u);
+}
+
+TEST(MultiPort, ClearZeroesImageAndDropsStagedWrites) {
+  MultiPortMemory mem(256);
+  mem.poke(3, 9);
+  mem.write(4, 5);
+  mem.clear();
+  mem.commit();
+  EXPECT_EQ(mem.read(0, 3), 0u);
+  EXPECT_EQ(mem.read(0, 4), 0u);
 }
 
 TEST(MultiPort, PortClockArithmetic) {

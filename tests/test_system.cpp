@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "common/error.hpp"
@@ -89,76 +88,62 @@ TEST(System, DispatchValidation) {
   EXPECT_THROW(MultiCoreSystem(SystemConfig{0, {}, 927, 854}), Error);
 }
 
-TEST(System, StageRunsBeforeItsKernelInTheSameJob) {
-  MultiCoreSystem sys(small_system(2));
-  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
-  // Each core's inputs arrive only through its own stage callable.
-  std::vector<Dispatch> dispatches;
-  for (unsigned c = 0; c < 2; ++c) {
-    Dispatch d{c, 128};
-    d.stage = [&sys, c] {
-      for (unsigned i = 0; i < 128; ++i) {
-        sys.core(c).write_shared(i, i + c);
-        sys.core(c).write_shared(128 + i, 7 * (c + 1));
-      }
-    };
-    dispatches.push_back(std::move(d));
-  }
-  const auto res = sys.run(dispatches);
-  ASSERT_EQ(res.per_core.size(), 2u);
-  for (unsigned c = 0; c < 2; ++c) {
-    EXPECT_TRUE(res.per_core[c].exited);
-    for (unsigned i = 0; i < 128; ++i) {
-      EXPECT_EQ(sys.core(c).read_shared(256 + i), i + c + 7 * (c + 1))
-          << "core " << c << " i " << i;
-    }
-  }
-}
-
-/// Dispatch cores 0-2 with `failing`'s stage throwing: run() rethrows, the
-/// sibling cores still ran to completion, the failing core's kernel never
-/// ran, and the system stays usable.
-void expect_throwing_stage_skips_only(unsigned failing) {
+/// Dispatch cores 0-2 with `failing` loaded with a kernel whose store
+/// traps: run() rethrows, the sibling cores still ran to completion, the
+/// failing core's trapped store committed nothing, and the system stays
+/// usable.
+void expect_faulting_kernel_spares_siblings(unsigned failing) {
   MultiCoreSystem sys(small_system(3));
   sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  sys.load_kernel(failing,
+                  "movsr %r0, %tid\n"
+                  "sts [%r0 + 1000], %r0\n"  // lanes 24+ leave the 1,024 words
+                  "exit\n");
   for (unsigned c = 0; c < 3; ++c) {
     for (unsigned i = 0; i < 128; ++i) {
       sys.core(c).write_shared(i, i);
       sys.core(c).write_shared(128 + i, 1);
     }
   }
-  std::vector<Dispatch> dispatches{{0, 128}, {1, 128}, {2, 128}};
-  dispatches[failing].stage = [] { throw Error("stage failed"); };
-  EXPECT_THROW(sys.run(dispatches), Error);
+  EXPECT_THROW(sys.run({{0, 128}, {1, 128}, {2, 128}}), Error);
   for (unsigned c = 0; c < 3; ++c) {
     for (unsigned i = 0; i < 128; ++i) {
       EXPECT_EQ(sys.core(c).read_shared(256 + i), c == failing ? 0u : i + 1)
           << "core " << c << " i " << i;
     }
   }
+  EXPECT_EQ(sys.core(failing).read_shared(1000), 0u);
+  sys.load_kernel(failing, kernels::vecadd(0, 128, 256));
   EXPECT_TRUE(sys.run({{failing, 128}}).per_core[0].exited);
   EXPECT_EQ(sys.core(failing).read_shared(256 + 5), 6u);
 }
 
-TEST(System, ThrowingStageSkipsOnlyItsCore) {
-  expect_throwing_stage_skips_only(1);
+TEST(System, FaultingKernelSparesItsSiblings) {
+  expect_faulting_kernel_spares_siblings(1);
 }
 
-TEST(System, ThrowingLastStageSkipsOnlyItsCore) {
+TEST(System, FaultingLastKernelSparesItsSiblings) {
   // The last dispatch is never offered to a worker: the calling thread
   // claims it first, so its failure surfaces from the caller's own sweep.
-  expect_throwing_stage_skips_only(2);
+  expect_faulting_kernel_spares_siblings(2);
 }
 
 TEST(System, EveryDispatchRunsExactlyOnce) {
   // Workers and the calling thread race to claim each round's jobs; late
-  // workers must find their claim taken. Every (core, round) stage must run
-  // exactly once, and every kernel must see the inputs its stage wrote.
+  // workers must find their claim taken. Every kernel increments its
+  // core's counter words, so each core's counters must equal the number
+  // of rounds it was dispatched in -- a job run twice or never shows.
   constexpr unsigned kCores = 4;
   constexpr unsigned kRounds = 200;
+  constexpr unsigned kThreads = 64;
   MultiCoreSystem sys(small_system(kCores));
-  sys.load_kernel_all(kernels::vecadd(0, 64, 128));
-  std::vector<std::atomic<int>> staged(kCores * kRounds);
+  sys.load_kernel_all(
+      "movsr %r0, %tid\n"
+      "lds %r1, [%r0]\n"
+      "addi %r1, %r1, 1\n"
+      "sts [%r0], %r1\n"
+      "exit\n");
+  std::vector<std::uint32_t> runs(kCores, 0);
   Xoshiro256 rng(0xc1a1);
   for (unsigned round = 0; round < kRounds; ++round) {
     std::vector<unsigned> cores{0, 1, 2, 3};
@@ -168,31 +153,19 @@ TEST(System, EveryDispatchRunsExactlyOnce) {
     cores.resize(1 + rng.next_below(kCores));
     std::vector<Dispatch> dispatches;
     for (const unsigned c : cores) {
-      Dispatch d{c, 64};
-      d.stage = [&sys, &staged, c, round] {
-        ++staged[round * kCores + c];
-        for (unsigned i = 0; i < 64; ++i) {
-          sys.core(c).write_shared(i, round + i);
-          sys.core(c).write_shared(64 + i, c);
-        }
-      };
-      dispatches.push_back(std::move(d));
+      dispatches.push_back({c, kThreads});
+      ++runs[c];
     }
     const auto res = sys.run(dispatches);
     ASSERT_EQ(res.per_core.size(), cores.size());
     for (std::size_t k = 0; k < cores.size(); ++k) {
-      const unsigned c = cores[k];
       ASSERT_TRUE(res.per_core[k].exited) << "round " << round;
-      for (unsigned i = 0; i < 64; ++i) {
-        ASSERT_EQ(sys.core(c).read_shared(128 + i), round + i + c)
-            << "round " << round << " core " << c << " i " << i;
-      }
     }
     for (unsigned c = 0; c < kCores; ++c) {
-      const bool dispatched =
-          std::find(cores.begin(), cores.end(), c) != cores.end();
-      ASSERT_EQ(staged[round * kCores + c].load(), dispatched ? 1 : 0)
-          << "round " << round << " core " << c;
+      for (unsigned i = 0; i < kThreads; ++i) {
+        ASSERT_EQ(sys.core(c).read_shared(i), runs[c])
+            << "round " << round << " core " << c << " i " << i;
+      }
     }
   }
 }

@@ -7,7 +7,7 @@
 //                 [--mem file.txt] [--dump base count]
 //                 [--batch M] [--streams N] [--graph-repeat N]
 //                 [--kernel NAME] [--arg base:size | --arg value]...
-//                 [--bit-accurate] [--no-simd-lanes] [--stage-workers N]
+//                 [--bit-accurate] [--no-simd-lanes]
 //        simt-run --cluster N [--qps R] [--requests K]
 //                 [--fault-spec STR] [--seed N] [--deadline-us N]
 //
@@ -31,11 +31,9 @@
 // (Mul33/shifter/LogicUnit) instead of the functional fast path; results
 // are bit-identical, only host simulation speed differs. --no-simd-lanes
 // keeps the functional fast path but pins its scalar per-lane loops
-// instead of the SIMD-batched row engine (CoreConfig::simd_lanes), and
-// --stage-workers N bounds how many multicore shards stage on their own
-// dispatch workers (DeviceDescriptor::stage_workers; 0 = serial staging
-// on the submitting thread) -- both are speed knobs with bit-identical
-// results, kept as CLI toggles so regressions can be bisected in place.
+// instead of the SIMD-batched row engine (CoreConfig::simd_lanes) -- both
+// are speed knobs with bit-identical results, kept as CLI toggles so
+// regressions can be bisected in place.
 //
 // --kernel starts execution at a `.kernel` (or label) entry instead of
 // address 0 (this works on every backend, including scalar). Each --arg
@@ -358,8 +356,7 @@ int main(int argc, char** argv) {
                  "usage: simt-run <kernel.s> "
                  "[--backend {core,multicore,scalar}] [--cores N] "
                  "[--threads N] [--fmax MHZ] [--mem file] "
-                 "[--dump base count] [--bit-accurate] [--no-simd-lanes] "
-                 "[--stage-workers N]\n"
+                 "[--dump base count] [--bit-accurate] [--no-simd-lanes]\n"
                  "       simt-run --cluster N [--qps R] [--requests K]\n"
                  "                [--fault-spec STR] [--seed N] "
                  "[--deadline-us N]\n"
@@ -384,7 +381,6 @@ int main(int argc, char** argv) {
   unsigned dump_base = 0, dump_count = 0;
   bool bit_accurate = false;
   bool simd_lanes = true;
-  unsigned stage_workers = simt::runtime::DeviceDescriptor::kAllStageWorkers;
   std::string kernel_name;
   simt::runtime::KernelArgs args;
   // `--cluster` needs no kernel file; flags may start at argv[1].
@@ -442,8 +438,6 @@ int main(int argc, char** argv) {
       bit_accurate = true;
     } else if (!std::strcmp(argv[i], "--no-simd-lanes")) {
       simd_lanes = false;
-    } else if (!std::strcmp(argv[i], "--stage-workers") && i + 1 < argc) {
-      next(stage_workers);
     } else if (!std::strcmp(argv[i], "--mem") && i + 1 < argc) {
       mem_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
@@ -516,7 +510,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     desc.fmax_mhz = fmax;  // 0 keeps the backend's paper-realized default
-    desc.stage_workers = stage_workers;
 
     simt::runtime::Device dev(desc);
     auto& module = dev.load_module(src.str());
