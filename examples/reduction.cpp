@@ -89,6 +89,6 @@ int main() {
   std::puts(
       "every halving step rescales the thread space (SETTI), cutting the\n"
       "16-clock-per-row store sweeps to the live threads only -- see\n"
-      "bench/thread_scaling for the quantified comparison.");
+      "bench_paper's threadscale.* rows for the quantified comparison.");
   return 0;
 }

@@ -1,11 +1,9 @@
 #include "area/resource_model.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "common/table.hpp"
 #include "hw/m20k.hpp"
 #include "hw/multiport_mem.hpp"
 
@@ -206,33 +204,6 @@ CoreResources estimate(const core::CoreConfig& cfg, const AreaOptions& opt) {
       needed / (static_cast<double>(opt.box_rows) * 10.0)));
   r.in_box_alms = cols * opt.box_rows * 10;
   return r;
-}
-
-std::string format_table1(const CoreResources& r) {
-  Table t({"Module", "No.", "Sub", "ALMs", "Regs", "M20K", "DSP"});
-  auto row = [&](const std::string& mod, const std::string& no,
-                 const std::string& sub, const ModuleResources& m,
-                 unsigned alms_override = 0) {
-    t.add_row({mod, no, sub,
-               fmt_int(alms_override ? alms_override : m.alms),
-               fmt_int(m.regs_total()), fmt_int(m.m20k), fmt_int(m.dsp)});
-  };
-  ModuleResources gp = r.gpgpu;
-  row("GPGPU", "-", "-", gp, r.in_box_alms);
-  row("SP", "16", "-", r.sp_total);
-  row("", "", "Mul+Sft", r.sp_mul_shift);
-  row("", "", "Logic", r.sp_logic);
-  if (r.sp_shifter.alms) {
-    row("", "", "BarrelSft", r.sp_shifter);
-  }
-  row("Inst", "1", "-", r.inst);
-  row("Shared", "1", "-", r.shared);
-  std::ostringstream out;
-  out << t.to_string();
-  out << "register styles (SP): primary=" << r.sp_total.regs_primary
-      << " secondary=" << r.sp_total.regs_secondary
-      << " hyper=" << r.sp_total.regs_hyper << "\n";
-  return out.str();
 }
 
 }  // namespace simt::area

@@ -6,29 +6,15 @@
 // 66-bit segmented adder's upper 50 bits cost 25 ALMs at two bits per ALM,
 // a logic barrel shifter costs ~50 ALMs per direction) and are calibrated so
 // the flagship instance (16 SPs, 16K registers, 16 KB shared memory,
-// predicates off) reproduces Table 1:
-//
-//   GPGPU  7038 ALM  24534 regs  99 M20K  32 DSP
-//   SP      371       1337        4        2     (x16)
-//    Mul+Sft 145        424        0        2
-//    Logic    83        424        0        0
-//   Inst    275        651        3        0
-//   Shared  133        233       64*       0
-//
-// (*) Table 1's per-module M20K column does not sum to its own total
-// (16x4 + 3 + 64 = 131 != 99). Our model is self-consistent: the register
-// files take 4 M20K per SP (64 total), the instruction block 3, and the
-// 16 KB 4R-1W shared memory 32 (4 read copies x 8 blocks), totalling 99.
-// EXPERIMENTS.md records the per-row deltas.
+// predicates off) reproduces Table 1 -- the rows of bench/paper_claims.hpp,
+// which also state where the model departs from the paper (the shared
+// memory's M20K count, the box-rounded GPGPU ALMs).
 //
 // Registers are split into primary / secondary / hyper in the proportions
 // the paper reports for the SP (763 / 154 / 420 of 1337): registers are
 // specified without resets wherever possible so they can retime into
 // Agilex hyper-registers (Section 5).
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "core/config.hpp"
 
@@ -71,9 +57,5 @@ struct CoreResources {
 
 /// Estimate resources for a configuration.
 CoreResources estimate(const core::CoreConfig& cfg, const AreaOptions& opt);
-
-/// Render the Table 1 layout (with the paper's numbers alongside when the
-/// configuration is the flagship).
-std::string format_table1(const CoreResources& r);
 
 }  // namespace simt::area

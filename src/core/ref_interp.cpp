@@ -269,16 +269,20 @@ std::uint64_t ReferenceInterpreter::run(std::uint32_t entry,
         }
         break;
       case Opcode::STS:
-        for (unsigned t = 0; t < active; ++t) {
-          if (!guard_passes(in, t)) {
-            continue;
+        // A trapped store commits nothing: check every lane, then write.
+        for (const bool commit : {false, true}) {
+          for (unsigned t = 0; t < active; ++t) {
+            if (!guard_passes(in, t)) {
+              continue;
+            }
+            const std::uint32_t addr =
+                read_reg(t, in.ra) + static_cast<std::uint32_t>(in.imm);
+            if (commit) {
+              shared_[addr] = read_reg(t, in.rd);
+            } else if (addr >= shared_.size()) {
+              throw Error("reference: STS out of bounds");
+            }
           }
-          const std::uint32_t addr =
-              read_reg(t, in.ra) + static_cast<std::uint32_t>(in.imm);
-          if (addr >= shared_.size()) {
-            throw Error("reference: STS out of bounds");
-          }
-          shared_[addr] = read_reg(t, in.rd);
         }
         break;
       default: {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "hw/m20k.hpp"
 
@@ -62,14 +61,6 @@ void MultiPortMemory::poke_span(std::uint32_t base,
 void MultiPortMemory::clear() {
   std::fill(image_.begin(), image_.end(), 0);
   staged_.clear();
-}
-
-unsigned MultiPortMemory::read_clocks(unsigned lanes) const {
-  return ceil_div(lanes, read_ports_);
-}
-
-unsigned MultiPortMemory::write_clocks(unsigned lanes) const {
-  return ceil_div(lanes, write_ports_);
 }
 
 }  // namespace simt::hw

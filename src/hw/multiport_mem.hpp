@@ -14,6 +14,7 @@
 //   * a store takes 16/1 = 16 clocks per row (dynamic thread scaling exists
 //     largely to cut this cost when only a few threads write back);
 //   * the M20K bill is one copy per read port (multiport_m20k_blocks).
+// The core prices both port costs with core::width_factor_for.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +73,6 @@ class MultiPortMemory {
   unsigned words() const { return static_cast<unsigned>(image_.size()); }
   unsigned read_ports() const { return read_ports_; }
   unsigned write_ports() const { return write_ports_; }
-
-  /// Clocks to service `lanes` parallel reads (ceil(lanes / read_ports)).
-  unsigned read_clocks(unsigned lanes) const;
-  /// Clocks to service `lanes` parallel writes (ceil(lanes / write_ports)).
-  unsigned write_clocks(unsigned lanes) const;
 
  private:
   unsigned read_ports_;

@@ -7,8 +7,8 @@
 //     horizontal 8- and 16-bit stage connections become the critical path
 //     when 16 SPs are assembled into an SM, "typically reducing the
 //     performance below 850 MHz". It also costs ~50 ALMs per direction.
-//     We keep it as the ablation baseline (bench/ablation_shifter) and as a
-//     cross-check implementation.
+//     We keep it as the ablation baseline (bench_paper's shifter.* rows)
+//     and as a cross-check implementation.
 //
 //  2. IntegratedShifter -- the paper's solution: fold the shifter into the
 //     multiplier datapath. The shift amount is decoded to one-hot (a single

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "asm/assembler.hpp"
 #include "common/error.hpp"
+#include "core/ref_interp.hpp"
 
 namespace simt::core {
 namespace {
@@ -332,43 +335,51 @@ TEST(Gpgpu, OutOfBoundsAccessTraps) {
 TEST(Gpgpu, TrappedStoreCommitsNothing) {
   // Lanes 0-5 of this store are in bounds, lane 6 (4090 + 6) is not. The
   // trap reports lane 6 and commits nothing -- not at the throw, not at the
-  // next host write, and not at a later launch's first store.
-  for (const bool bit_accurate : {false, true}) {
-    const std::string what = bit_accurate ? "bit-accurate" : "fast";
-    auto cfg = test_cfg(16);
-    cfg.bit_accurate = bit_accurate;
-    Gpgpu gpu(cfg);
-    gpu.load_program(assembler::assemble(
+  // next host write, and not at a later launch's first store. The reference
+  // interpreter must leave the same memory as both core engines.
+  const auto check = [](auto& engine, const std::string& what,
+                        const std::string& trap_text) {
+    engine.load_program(assembler::assemble(
         "movsr %r0, %tid\n"
         "movi %r1, 101\n"
         "sts [%r0 + 4090], %r1\n"
         "exit\n"));
-    gpu.set_thread_count(16);
+    engine.set_thread_count(16);
     try {
-      gpu.run();
+      engine.run();
       FAIL() << what << ": the out-of-bounds store did not trap";
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("thread 6 addr 4096"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(trap_text), std::string::npos)
           << what << ": " << e.what();
     }
     const auto expect_untouched = [&](const std::string& when) {
       for (std::uint32_t a = 4090; a < 4096; ++a) {
-        EXPECT_EQ(gpu.read_shared(a), 0u) << what << " " << when << " " << a;
+        EXPECT_EQ(engine.read_shared(a), 0u) << what << " " << when << " " << a;
       }
     };
     expect_untouched("after the trap");
-    gpu.write_shared(0, 7);
+    engine.write_shared(0, 7);
     expect_untouched("after a host write");
-    gpu.load_program(assembler::assemble(
+    engine.load_program(assembler::assemble(
         "movsr %r0, %tid\n"
         "sts [%r0 + 100], %r0\n"
         "exit\n"));
-    EXPECT_TRUE(gpu.run().exited) << what;
+    const auto run = engine.run();
+    if constexpr (std::is_same_v<decltype(run), const RunResult>) {
+      EXPECT_TRUE(run.exited) << what;
+    }
     expect_untouched("after a good launch");
-    EXPECT_EQ(gpu.read_shared(0), 7u) << what;
-    EXPECT_EQ(gpu.read_shared(115), 15u) << what;
+    EXPECT_EQ(engine.read_shared(0), 7u) << what;
+    EXPECT_EQ(engine.read_shared(115), 15u) << what;
+  };
+  for (const bool bit_accurate : {false, true}) {
+    auto cfg = test_cfg(16);
+    cfg.bit_accurate = bit_accurate;
+    Gpgpu gpu(cfg);
+    check(gpu, bit_accurate ? "bit-accurate" : "fast", "thread 6 addr 4096");
   }
+  ReferenceInterpreter ref(test_cfg(16));
+  check(ref, "reference", "STS out of bounds");
 }
 
 TEST(Gpgpu, ValidationRejectsPredicatesWhenDisabled) {

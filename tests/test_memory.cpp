@@ -93,7 +93,8 @@ TEST(MultiPort, LastStagedWriteWins) {
 
 TEST(MultiPort, BlockCountIsCopiesTimesDepthBlocks) {
   // 16 KB (4096 words = 8 blocks per copy), one copy per read port: the
-  // bench/sweep_ports configurations, with the paper's 4R at 32 M20Ks.
+  // configurations of bench_paper's ports.* rows, with the paper's 4R at
+  // 32 M20Ks.
   EXPECT_EQ(multiport_m20k_blocks(4096, 1), 8u);
   EXPECT_EQ(multiport_m20k_blocks(4096, 2), 16u);
   EXPECT_EQ(multiport_m20k_blocks(4096, 4), 32u);
@@ -109,17 +110,6 @@ TEST(MultiPort, ClearZeroesImageAndDropsStagedWrites) {
   mem.commit();
   EXPECT_EQ(mem.read(0, 3), 0u);
   EXPECT_EQ(mem.read(0, 4), 0u);
-}
-
-TEST(MultiPort, PortClockArithmetic) {
-  // Section 3.1: a load runs 4 clocks per block width (16 lanes / 4 ports);
-  // a store 16 clocks (16 lanes / 1 port).
-  MultiPortMemory mem(4096, 4, 1);
-  EXPECT_EQ(mem.read_clocks(16), 4u);
-  EXPECT_EQ(mem.write_clocks(16), 16u);
-  EXPECT_EQ(mem.read_clocks(4), 1u);
-  EXPECT_EQ(mem.read_clocks(5), 2u);
-  EXPECT_EQ(mem.write_clocks(1), 1u);
 }
 
 TEST(MultiPort, RandomizedConsistencyAcrossPorts) {

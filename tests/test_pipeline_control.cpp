@@ -30,6 +30,9 @@ TEST(ClocksFor, WidthFactors) {
   // Port scaling: an 8R shared memory would halve the load width.
   EXPECT_EQ(width_factor_for(TimingClass::Load, 16, 8, 1), 2u);
   EXPECT_EQ(width_factor_for(TimingClass::Store, 16, 4, 4), 4u);
+  // Uneven lane counts round up: ceil(lanes / ports).
+  EXPECT_EQ(width_factor_for(TimingClass::Load, 5, 4, 1), 2u);
+  EXPECT_EQ(width_factor_for(TimingClass::Store, 1, 4, 1), 1u);
 }
 
 TEST(PipelineControl, OperationCountsToDepthMinusTwo) {
