@@ -16,9 +16,10 @@ using isa::TimingClass;
 
 namespace {
 
-// Per-opcode thunks: the compile-time opcode lets the golden ref::alu /
-// ref::compare switch fold away, leaving one direct arithmetic function per
-// opcode the hot loops call through a cached pointer.
+// Per-opcode thunks: ref::alu / ref::compare are inline constexpr, so the
+// compile-time opcode folds their switch away and each instantiation is one
+// direct arithmetic function the per-lane loops call through a cached
+// pointer.
 template <Opcode Op>
 std::uint32_t alu_thunk(std::uint32_t a, std::uint32_t b) {
   return ref::alu(Op, a, b);
@@ -29,11 +30,10 @@ bool cmp_thunk(std::uint32_t a, std::uint32_t b) {
   return ref::compare(Op, a, b);
 }
 
-// Batched thunks: the opcode is a template parameter, so each instantiation
-// is one tight loop with the arithmetic inlined -- the shape the
-// auto-vectorizer turns into SIMD over the contiguous lane blocks. The
-// element-wise body makes d == a / d == b aliasing equivalent to the
-// per-lane scalar loop.
+// Batched thunks: the same fold leaves one arithmetic loop per opcode over
+// the contiguous lane rows, the shape the auto-vectoriser turns into SIMD.
+// The element-wise body makes d == a / d == b (and out == preds) aliasing
+// equivalent to the per-lane scalar loop.
 template <Opcode Op>
 void alu_batch_rr_thunk(std::uint32_t* d, const std::uint32_t* a,
                         const std::uint32_t* b, unsigned n) {
@@ -51,11 +51,11 @@ void alu_batch_ri_thunk(std::uint32_t* d, const std::uint32_t* a,
 }
 
 template <Opcode Op>
-void cmp_batch_thunk(std::uint8_t* preds, std::uint8_t bit,
-                     const std::uint32_t* a, const std::uint32_t* b,
-                     unsigned n) {
+void cmp_batch_thunk(std::uint8_t* out, const std::uint8_t* preds,
+                     std::uint8_t bit, const std::uint32_t* a,
+                     const std::uint32_t* b, unsigned n) {
   for (unsigned i = 0; i < n; ++i) {
-    preds[i] = static_cast<std::uint8_t>(
+    out[i] = static_cast<std::uint8_t>(
         (preds[i] & ~bit) | (ref::compare(Op, a[i], b[i]) ? bit : 0));
   }
 }
@@ -163,7 +163,6 @@ AluBatchRIFn functional_alu_batch_ri(Opcode op) {
     SIMT_ALU_CASE(ABS)
     SIMT_ALU_CASE(NEG)
     SIMT_ALU_CASE(NOT)
-    SIMT_ALU_CASE(CNOT)
     SIMT_ALU_CASE(ANDI)
     SIMT_ALU_CASE(ORI)
     SIMT_ALU_CASE(XORI)

@@ -44,17 +44,19 @@ CmpFn functional_cmp(isa::Opcode op);
 /// Batched lane thunks: one call evaluates a whole contiguous lane block
 /// (the SIMD engine's unit of work -- every active thread of one
 /// instruction, laid out contiguously per register in Gpgpu's flat file).
-/// The per-opcode template instantiations give the compiler a single
-/// vectorizable loop with the arithmetic inlined; element-wise aliasing
-/// (d == a or d == b) is well-defined, matching the per-lane scalar loop.
+/// The golden semantics are inline constexpr, so each per-opcode
+/// instantiation folds to a single arithmetic loop the compiler can
+/// vectorise; element-wise aliasing (d == a or d == b) is well-defined,
+/// matching the per-lane scalar loop.
 using AluBatchRRFn = void (*)(std::uint32_t* d, const std::uint32_t* a,
                               const std::uint32_t* b, unsigned n);
 using AluBatchRIFn = void (*)(std::uint32_t* d, const std::uint32_t* a,
                               std::uint32_t b, unsigned n);
-/// Batched SETP: sets/clears predicate bit `bit` in preds[i] per compare.
-using CmpBatchFn = void (*)(std::uint8_t* preds, std::uint8_t bit,
-                            const std::uint32_t* a, const std::uint32_t* b,
-                            unsigned n);
+/// Batched SETP: out[i] is preds[i] with bit `bit` set to the compare
+/// (out == preds updates in place).
+using CmpBatchFn = void (*)(std::uint8_t* out, const std::uint8_t* preds,
+                            std::uint8_t bit, const std::uint32_t* a,
+                            const std::uint32_t* b, unsigned n);
 
 AluBatchRRFn functional_alu_batch_rr(isa::Opcode op);
 AluBatchRIFn functional_alu_batch_ri(isa::Opcode op);
@@ -68,8 +70,9 @@ struct DecodedOp {
   AluFn alu = nullptr;  ///< functional ALU result (RRR/RRI/RR/RI forms)
   CmpFn cmp = nullptr;  ///< functional compare (PRR form)
   /// Batched variants of the same thunks, used by the SIMD lane engine
-  /// (CoreConfig::simd_lanes) when an instruction's guard resolves
-  /// uniformly: one call per instruction instead of one per lane.
+  /// (CoreConfig::simd_lanes): one call per instruction instead of one per
+  /// lane; a guarded instruction evaluates into a scratch row and selects
+  /// per lane on the guard mask.
   AluBatchRRFn alu_batch_rr = nullptr;  ///< RRR form over lane blocks
   AluBatchRIFn alu_batch_ri = nullptr;  ///< RRI/RR forms over lane blocks
   CmpBatchFn cmp_batch = nullptr;       ///< PRR form over lane blocks

@@ -17,8 +17,7 @@ using isa::TimingClass;
 Gpgpu::Gpgpu(CoreConfig cfg)
     : cfg_(std::move(cfg)),
       imem_(cfg_.imem_depth),
-      shared_(cfg_.shared_mem_words, cfg_.shared_read_ports,
-              cfg_.shared_write_ports),
+      shared_(cfg_.shared_mem_words, cfg_.shared_read_ports),
       fetch_(cfg_),
       launch_threads_(cfg_.max_threads),
       active_threads_(cfg_.max_threads) {
@@ -26,7 +25,8 @@ Gpgpu::Gpgpu(CoreConfig cfg)
   sp_mask_ = cfg_.num_sps - 1;
   sp_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.num_sps));
   rf_data_.assign(std::size_t{cfg_.max_threads} * cfg_.regs_per_thread, 0);
-  addr_scratch_.assign(cfg_.max_threads, 0);
+  lane_scratch_.assign(cfg_.max_threads, 0);
+  pred_scratch_.assign(cfg_.max_threads, 0);
   alus_.reserve(cfg_.num_sps);
   for (unsigned sp = 0; sp < cfg_.num_sps; ++sp) {
     alus_.emplace_back(cfg_.shifter);
@@ -109,18 +109,6 @@ void Gpgpu::reset_state() {
   shared_.clear();
 }
 
-bool Gpgpu::guard_passes(const Instr& instr, unsigned thread) const {
-  switch (instr.guard) {
-    case Guard::None:
-      return true;
-    case Guard::IfTrue:
-      return (preds_[thread] >> instr.gpred) & 1u;
-    case Guard::IfFalse:
-      return !((preds_[thread] >> instr.gpred) & 1u);
-  }
-  return true;
-}
-
 std::uint32_t Gpgpu::special_value(isa::SpecialReg sr, unsigned thread,
                                    unsigned active) const {
   switch (sr) {
@@ -168,10 +156,10 @@ struct GuardMask {
   bool passes(std::uint8_t preds) const { return (preds & bit) == want; }
 };
 
-/// Guard uniformity over the active block. The SIMD lane engine engages
-/// only when every lane resolves the same way: AllPass dispatches one batch
-/// thunk, NonePass skips the instruction body outright, and Divergent falls
-/// back to the per-lane scalar loop.
+/// Guard uniformity over the active block, for the batched LDS/STS: they
+/// engage only when every lane resolves the same way (AllPass gathers or
+/// scatters the whole block, NonePass skips the instruction body outright,
+/// and Divergent falls back to the per-lane scalar loop).
 enum class GuardScan { AllPass, NonePass, Divergent };
 
 GuardScan scan_guard(const GuardMask& g, const std::uint8_t* preds,
@@ -184,6 +172,20 @@ GuardScan scan_guard(const GuardMask& g, const std::uint8_t* preds,
     return GuardScan::AllPass;
   }
   return pass == 0 ? GuardScan::NonePass : GuardScan::Divergent;
+}
+
+/// Masked writeback of a guarded batch: lanes whose guard passes take the
+/// scratch result, the rest keep their old value. The guard reads `preds`
+/// as it stood before the instruction, and dst may alias preds.
+template <typename T>
+void select_lanes(T* dst, const T* result, const GuardMask& g,
+                  const std::uint8_t* preds, unsigned n) {
+  for (unsigned t = 0; t < n; ++t) {
+    // Both loads unconditional, so the select if-converts and vectorises.
+    const T r = result[t];
+    const T old = dst[t];
+    dst[t] = g.passes(preds[t]) ? r : old;
+  }
 }
 
 /// Per-lane ALU walking the bit-accurate structural models (Mul33,
@@ -303,109 +305,127 @@ void Gpgpu::exec_operation_body(const DecodedOp& d, unsigned active,
   }
 }
 
-bool Gpgpu::exec_operation_batched(const DecodedOp& d, unsigned active) {
+void Gpgpu::exec_operation_batched(const DecodedOp& d, unsigned active) {
+  // Operations cannot trap, so every guard shape runs as a batch: an
+  // unguarded instruction writes its destination row directly; a guarded
+  // one evaluates every active lane into a scratch row (so rd == ra / rb
+  // aliasing reads the old operands) and then selects per lane on the mask.
   const Instr& instr = d.instr;
-  if (instr.guard != Guard::None) {
-    switch (scan_guard(GuardMask::of(instr), preds_.data(), active)) {
-      case GuardScan::AllPass:
+  const bool guarded = instr.guard != Guard::None;
+  const GuardMask g = guarded ? GuardMask::of(instr) : GuardMask{};
+  std::uint8_t* preds = preds_.data();
+
+  if (d.info->writes_pd) {
+    // PRR / PPP / PP: whole predicate bytes with bit pd recomputed.
+    std::uint8_t* out = guarded ? pred_scratch_.data() : preds;
+    const auto pd = instr.pd;
+    const auto pa = instr.pa;
+    const auto pb = instr.pb;
+    const auto dbit = static_cast<std::uint8_t>(1u << pd);
+    const auto pred_loop = [&](auto bit_of) {
+      for (unsigned t = 0; t < active; ++t) {
+        const unsigned p = preds[t];
+        out[t] = static_cast<std::uint8_t>((p & ~dbit) | (bit_of(p) << pd));
+      }
+    };
+    switch (instr.op) {
+      case Opcode::PAND:
+        pred_loop([=](unsigned p) { return (p >> pa) & (p >> pb) & 1u; });
         break;
-      case GuardScan::NonePass:
-        return true;  // every lane masked off: nothing to execute
-      case GuardScan::Divergent:
-        return false;
+      case Opcode::POR:
+        pred_loop([=](unsigned p) { return ((p >> pa) | (p >> pb)) & 1u; });
+        break;
+      case Opcode::PXOR:
+        pred_loop([=](unsigned p) { return ((p >> pa) ^ (p >> pb)) & 1u; });
+        break;
+      case Opcode::PNOT:
+        pred_loop([=](unsigned p) { return ~(p >> pa) & 1u; });
+        break;
+      default:  // the SETP family
+        d.cmp_batch(out, preds, dbit, rf_row(instr.ra), rf_row(instr.rb),
+                    active);
+        break;
     }
+    if (guarded) {
+      select_lanes(preds, out, g, preds, active);
+    }
+    return;
   }
+
+  std::uint32_t* out = guarded ? lane_scratch_.data() : rf_row(instr.rd);
   switch (d.info->format) {
     case Format::RRR:
-      if (d.alu_batch_rr == nullptr) {
-        return false;
-      }
-      d.alu_batch_rr(rf_row(instr.rd), rf_row(instr.ra), rf_row(instr.rb),
-                     active);
-      return true;
+      d.alu_batch_rr(out, rf_row(instr.ra), rf_row(instr.rb), active);
+      break;
     case Format::RRI:
-      if (d.alu_batch_ri == nullptr) {
-        return false;
-      }
-      d.alu_batch_ri(rf_row(instr.rd), rf_row(instr.ra),
+      d.alu_batch_ri(out, rf_row(instr.ra),
                      static_cast<std::uint32_t>(instr.imm), active);
-      return true;
+      break;
     case Format::RR:
       // Scalar RR evaluates alu(a, 0): the RI batch thunk with b = 0.
-      if (d.alu_batch_ri == nullptr) {
-        return false;
-      }
-      d.alu_batch_ri(rf_row(instr.rd), rf_row(instr.ra), 0, active);
-      return true;
-    case Format::RI: {
+      d.alu_batch_ri(out, rf_row(instr.ra), 0, active);
+      break;
+    case Format::RI:
       // alu(0, imm) has no lane dependence: evaluate once, broadcast.
-      if (d.alu == nullptr) {
-        return false;
-      }
-      const std::uint32_t v = d.alu(0, static_cast<std::uint32_t>(instr.imm));
-      std::fill_n(rf_row(instr.rd), active, v);
-      return true;
-    }
-    case Format::RS: {
+      std::fill_n(out, active,
+                  d.alu(0, static_cast<std::uint32_t>(instr.imm)));
+      break;
+    case Format::RS:
       // Hoist the special-register switch out of the lane loop. Tid/Lane/
       // Row are the only lane-varying sources; the rest broadcast.
-      std::uint32_t* dst = rf_row(instr.rd);
       switch (static_cast<isa::SpecialReg>(instr.imm)) {
         case isa::SpecialReg::Tid:
           for (unsigned t = 0; t < active; ++t) {
-            dst[t] = thread_base_ + t;
+            out[t] = thread_base_ + t;
           }
-          return true;
+          break;
         case isa::SpecialReg::Lane:
           for (unsigned t = 0; t < active; ++t) {
-            dst[t] = t & sp_mask_;
+            out[t] = t & sp_mask_;
           }
-          return true;
-        case isa::SpecialReg::Row:
+          break;
+        case isa::SpecialReg::Row: {
+          const unsigned shift = sp_shift_;
           for (unsigned t = 0; t < active; ++t) {
-            dst[t] = t >> sp_shift_;
+            out[t] = t >> shift;
           }
-          return true;
+          break;
+        }
         case isa::SpecialReg::Ntid:
-          std::fill_n(dst, active, ntid_override_ ? ntid_override_ : active);
-          return true;
+          std::fill_n(out, active, ntid_override_ ? ntid_override_ : active);
+          break;
         case isa::SpecialReg::Nsp:
-          std::fill_n(dst, active, cfg_.num_sps);
-          return true;
+          std::fill_n(out, active, cfg_.num_sps);
+          break;
         case isa::SpecialReg::Smid:
-          std::fill_n(dst, active, smid_);
-          return true;
+          std::fill_n(out, active, smid_);
+          break;
       }
-      return false;
-    }
-    case Format::PRR:
-      if (d.cmp_batch == nullptr) {
-        return false;
-      }
-      d.cmp_batch(preds_.data(), static_cast<std::uint8_t>(1u << instr.pd),
-                  rf_row(instr.ra), rf_row(instr.rb), active);
-      return true;
+      break;
     case Format::SELP: {
-      const std::uint8_t sel_bit = static_cast<std::uint8_t>(1u << instr.pa);
+      const auto sel_bit = static_cast<std::uint8_t>(1u << instr.pa);
       const std::uint32_t* a = rf_row(instr.ra);
       const std::uint32_t* b = rf_row(instr.rb);
-      std::uint32_t* dst = rf_row(instr.rd);
       for (unsigned t = 0; t < active; ++t) {
-        dst[t] = (preds_[t] & sel_bit) != 0 ? a[t] : b[t];
+        const std::uint32_t av = a[t];
+        const std::uint32_t bv = b[t];
+        out[t] = (preds[t] & sel_bit) != 0 ? av : bv;
       }
-      return true;
+      break;
     }
     default:
-      // PPP/PP are byte-wide predicate ops; the scalar loop is already the
-      // right shape for them.
-      return false;
+      SIMT_CHECK(false && "unexpected format in operation class");
+  }
+  if (guarded) {
+    select_lanes(rf_row(instr.rd), out, g, preds, active);
   }
 }
 
 void Gpgpu::exec_operation(const DecodedOp& d, unsigned active) {
   const bool guarded = d.instr.guard != Guard::None;
   if (!cfg_.bit_accurate) {
-    if (cfg_.simd_lanes && exec_operation_batched(d, active)) {
+    if (cfg_.simd_lanes) {
+      exec_operation_batched(d, active);
       return;
     }
     const FunctionalAlu alu{d.alu, d.cmp};
@@ -465,7 +485,7 @@ bool Gpgpu::exec_load_batched(const Instr& instr, unsigned active,
   const auto imm = static_cast<std::uint32_t>(instr.imm);
   const unsigned words = shared_.words();
   const std::uint32_t* a = rf_row(instr.ra);
-  std::uint32_t* addrs = addr_scratch_.data();
+  std::uint32_t* addrs = lane_scratch_.data();
   bool oob = false;
   for (unsigned t = 0; t < active; ++t) {
     addrs[t] = a[t] + imm;
@@ -505,7 +525,7 @@ unsigned Gpgpu::exec_store_body(const Instr& instr, unsigned active) {
   const GuardMask g = kGuarded ? GuardMask::of(instr) : GuardMask{};
   const auto imm = static_cast<std::uint32_t>(instr.imm);
   const unsigned words = shared_.words();
-  std::uint32_t* addrs = addr_scratch_.data();
+  std::uint32_t* addrs = lane_scratch_.data();
   for (unsigned t = 0; t < active; ++t) {
     if (kGuarded && !g.passes(preds_[t])) {
       continue;
@@ -548,7 +568,7 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
   const auto imm = static_cast<std::uint32_t>(instr.imm);
   const unsigned words = shared_.words();
   const std::uint32_t* a = rf_row(instr.ra);
-  std::uint32_t* addrs = addr_scratch_.data();
+  std::uint32_t* addrs = lane_scratch_.data();
   bool oob = false;
   bool contiguous = true;
   for (unsigned t = 0; t < active; ++t) {

@@ -137,18 +137,20 @@ class Gpgpu {
   // structural models (CoreConfig::bit_accurate) inside the loop.
   //
   // On top of that, the SIMD lane engine (CoreConfig::simd_lanes, functional
-  // engine only): when an instruction's guard resolves uniformly over the
-  // active block, the *_batched helpers dispatch one per-opcode batch thunk
-  // over the contiguous per-register lane rows of rf_data_ (ALU classes), or
-  // gather/scatter directly against the committed shared-memory image
-  // (loads/stores, after bounds-checking every lane's address up front so an
-  // out-of-bounds lane falls back to the scalar body from untouched state
-  // and reproduces its exact partial-write-then-throw behavior). The helpers
-  // return false on divergent guards or unbatchable formats, and the caller
-  // runs the per-lane scalar body instead -- results are bit-identical
-  // either way.
+  // engine only) runs every operation as one per-opcode batch over the
+  // contiguous per-register lane rows of rf_data_: an unguarded operation
+  // writes its destination row directly, a guarded one evaluates into a
+  // scratch row and selects per lane on the guard mask (operations cannot
+  // trap, so divergence needs no fallback). Loads and stores batch when
+  // their guard resolves uniformly over the active block: they gather or
+  // scatter directly against the committed shared-memory image after
+  // bounds-checking every lane's address up front, so an out-of-bounds lane
+  // falls back to the scalar body from untouched state and reproduces its
+  // exact trap. The *_batched memory helpers return false on a divergent
+  // guard or an out-of-bounds lane, and the caller runs the per-lane scalar
+  // body instead -- results are bit-identical either way.
   void exec_operation(const DecodedOp& d, unsigned active);
-  bool exec_operation_batched(const DecodedOp& d, unsigned active);
+  void exec_operation_batched(const DecodedOp& d, unsigned active);
   template <bool kGuarded, typename AluPolicy>
   void exec_operation_body(const DecodedOp& d, unsigned active,
                            const AluPolicy& alu);
@@ -162,7 +164,6 @@ class Gpgpu {
   unsigned exec_load_body(const isa::Instr& instr, unsigned active);
   template <bool kGuarded>
   unsigned exec_store_body(const isa::Instr& instr, unsigned active);
-  bool guard_passes(const isa::Instr& instr, unsigned thread) const;
   std::uint32_t special_value(isa::SpecialReg sr, unsigned thread,
                               unsigned active) const;
 
@@ -204,9 +205,12 @@ class Gpgpu {
   /// the layout the SIMD lane engine depends on. Scalar access goes through
   /// rf_read/rf_write on the same storage, so both engines see one file.
   std::vector<std::uint32_t> rf_data_;
-  /// Per-lane LDS/STS addresses, computed and bounds-checked as a block
+  /// One word per thread: a guarded batch's results before the masked
+  /// select, or the LDS/STS addresses computed and bounds-checked as a block
   /// before the batched gather/scatter mutates anything.
-  std::vector<std::uint32_t> addr_scratch_;
+  std::vector<std::uint32_t> lane_scratch_;
+  /// A guarded predicate batch's new predicate bytes before the select.
+  std::vector<std::uint8_t> pred_scratch_;
   std::vector<hw::Alu> alus_;           ///< one per SP
   std::vector<std::uint8_t> preds_;     ///< 4-bit mask per thread
   FetchDecode fetch_;

@@ -11,12 +11,10 @@ unsigned multiport_m20k_blocks(unsigned words, unsigned read_ports) {
   return read_ports * m20k_blocks_for(words, 32);
 }
 
-MultiPortMemory::MultiPortMemory(unsigned words, unsigned read_ports,
-                                 unsigned write_ports)
-    : read_ports_(read_ports), write_ports_(write_ports), image_(words, 0) {
+MultiPortMemory::MultiPortMemory(unsigned words, unsigned read_ports)
+    : read_ports_(read_ports), image_(words, 0) {
   SIMT_CHECK(words > 0);
   SIMT_CHECK(read_ports_ >= 1);
-  SIMT_CHECK(write_ports_ >= 1);
 }
 
 std::uint32_t MultiPortMemory::read(unsigned port, std::uint32_t addr) const {

@@ -30,10 +30,9 @@ unsigned multiport_m20k_blocks(unsigned words, unsigned read_ports);
 
 class MultiPortMemory {
  public:
-  /// words: capacity in 32-bit words. read_ports/write_ports set the
-  /// port timing (4R-1W in the shipped configuration).
-  MultiPortMemory(unsigned words, unsigned read_ports = 4,
-                  unsigned write_ports = 1);
+  /// words: capacity in 32-bit words; read_ports bounds the port index
+  /// read() accepts (4 in the shipped 4R-1W configuration).
+  explicit MultiPortMemory(unsigned words, unsigned read_ports = 4);
 
   /// Read through one of the read ports. Every port sees the same image;
   /// the port index models arbitration and is bounds-checked.
@@ -72,11 +71,9 @@ class MultiPortMemory {
 
   unsigned words() const { return static_cast<unsigned>(image_.size()); }
   unsigned read_ports() const { return read_ports_; }
-  unsigned write_ports() const { return write_ports_; }
 
  private:
   unsigned read_ports_;
-  unsigned write_ports_;
   std::vector<std::uint32_t> image_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> staged_;
 };

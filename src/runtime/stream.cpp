@@ -20,8 +20,19 @@ Ticket Stream::submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps) {
   }
   cmd.error_slot = error_;
   last_ = sched_->submit(std::move(cmd), std::move(deps));
+  prune_retired();
   live_.push_back(last_);
   return last_;
+}
+
+void Stream::prune_retired() const {
+  // The scheduler retires tickets in submission order, so this stream's
+  // retired tickets are always a prefix of live_. Pruning on every submit
+  // keeps live_ at the unretired tickets even when nothing ever calls
+  // pending() or synchronize() (a stream joined only through Event::wait).
+  while (!live_.empty() && sched_->done(live_.front())) {
+    live_.pop_front();
+  }
 }
 
 Ticket Stream::submit_command(Scheduler::Command cmd) {
@@ -245,9 +256,7 @@ void Stream::end_capture() {
 
 std::size_t Stream::pending() const {
   std::lock_guard<std::mutex> lock(submit_mutex_);
-  while (!live_.empty() && sched_->done(live_.front())) {
-    live_.pop_front();
-  }
+  prune_retired();
   return live_.size();
 }
 
@@ -265,9 +274,7 @@ void Stream::synchronize() {
   sched_->wait(target);  // join outside the lock: submitters keep going
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
-    while (!live_.empty() && live_.front() <= target) {
-      live_.pop_front();  // everything up to the joined ticket has retired
-    }
+    prune_retired();  // everything up to the joined ticket has retired
   }
   std::exception_ptr err;
   {

@@ -173,6 +173,7 @@ class Stream {
 
  private:
   friend class GraphExec;  ///< replays submit through submit_command
+  friend class StreamTestPeer;  ///< white-box access for the runtime tests
 
   /// The one sink every command goes through: capture mode records the op
   /// as a graph node (returning a captured-event handle for launches and
@@ -185,6 +186,8 @@ class Stream {
   Ticket submit_command(Scheduler::Command cmd);
   /// Submit with this stream's ordering dependency and track the ticket.
   Ticket submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps = {});
+  /// Drop retired tickets from the front of live_ (submit_mutex_ held).
+  void prune_retired() const;
 
   Device* dev_;
   Scheduler* sched_;

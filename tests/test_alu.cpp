@@ -59,6 +59,53 @@ TEST_P(AluVsGolden, AllComparesMatchReference) {
   }
 }
 
+// The golden semantics are constexpr: the batch thunks fold and vectorise
+// only while core::ref::alu / compare stay inline in the header, and these
+// pins stop compiling if either moves back out of line.
+namespace golden {
+using core::ref::alu;
+using core::ref::compare;
+constexpr std::uint32_t kMinS = 0x80000000u;  // INT32_MIN
+constexpr std::uint32_t kNeg1 = 0xffffffffu;
+// MULHI is the signed high word, MULHIU the unsigned one.
+static_assert(alu(Opcode::MULHI, kNeg1, kNeg1) == 0u);           // -1 * -1
+static_assert(alu(Opcode::MULHIU, kNeg1, kNeg1) == 0xfffffffeu);
+static_assert(alu(Opcode::MULHI, kNeg1, 2) == kNeg1);            // -2 >> 32
+static_assert(alu(Opcode::MULHIU, kNeg1, 2) == 1u);
+static_assert(alu(Opcode::MULHI, kMinS, kMinS) == 0x40000000u);  // 2^62
+static_assert(alu(Opcode::MULHIU, kMinS, kMinS) == 0x40000000u);
+static_assert(alu(Opcode::MULHI, kMinS, 1) == kNeg1);
+static_assert(alu(Opcode::MULLO, kMinS, kNeg1) == kMinS);
+// Logical shifts saturate to zero from 32 on; SAR clamps at 31.
+static_assert(alu(Opcode::SHL, 1, 31) == kMinS);
+static_assert(alu(Opcode::SHL, 1, 32) == 0u);
+static_assert(alu(Opcode::SHR, kMinS, 31) == 1u);
+static_assert(alu(Opcode::SHR, kMinS, 32) == 0u);
+static_assert(alu(Opcode::SHRI, kNeg1, 0xffffffffu) == 0u);
+static_assert(alu(Opcode::SAR, kMinS, 31) == kNeg1);
+static_assert(alu(Opcode::SAR, kMinS, 32) == kNeg1);
+static_assert(alu(Opcode::SARI, 0x40000000u, 1000) == 0u);
+// CNOT inverts A only when B's low bit is set.
+static_assert(alu(Opcode::CNOT, 0x0f0f0f0fu, 1) == 0xf0f0f0f0u);
+static_assert(alu(Opcode::CNOT, 0x0f0f0f0fu, 2) == 0x0f0f0f0fu);
+// Bit counting, including the CLZ(0) = 32 edge.
+static_assert(alu(Opcode::CLZ, 0, 0) == 32u);
+static_assert(alu(Opcode::CLZ, 1, 0) == 31u);
+static_assert(alu(Opcode::POPC, kNeg1, 0) == 32u);
+static_assert(alu(Opcode::BREV, 1, 0) == kMinS);
+static_assert(alu(Opcode::ABS, kMinS, 0) == kMinS);  // wraps, like NEG
+static_assert(alu(Opcode::NEG, kMinS, 0) == kMinS);
+// Signed and unsigned SETP disagree exactly when the sign bits differ.
+static_assert(compare(Opcode::SETP_LT, kNeg1, 0));
+static_assert(!compare(Opcode::SETP_LTU, kNeg1, 0));
+static_assert(!compare(Opcode::SETP_GE, kNeg1, 0));
+static_assert(compare(Opcode::SETP_GEU, kNeg1, 0));
+static_assert(compare(Opcode::SETP_GT, 0, kMinS));
+static_assert(compare(Opcode::SETP_LE, kMinS, 0));
+static_assert(compare(Opcode::SETP_EQ, kMinS, kMinS));
+static_assert(!compare(Opcode::SETP_NE, kMinS, kMinS));
+}  // namespace golden
+
 INSTANTIATE_TEST_SUITE_P(Shifters, AluVsGolden,
                          ::testing::Values(ShifterImpl::Integrated,
                                            ShifterImpl::LogicBarrel));

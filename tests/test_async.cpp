@@ -18,6 +18,16 @@
 #include "runtime/stream.hpp"
 
 namespace simt::runtime {
+
+class StreamTestPeer {
+ public:
+  /// Tickets the stream still tracks for pending().
+  static std::size_t retained(const Stream& s) {
+    std::lock_guard<std::mutex> lock(s.submit_mutex_);
+    return s.live_.size();
+  }
+};
+
 namespace {
 
 core::CoreConfig small_cfg(unsigned threads = 64, unsigned mem_words = 2048) {
@@ -73,6 +83,20 @@ TEST(Scheduler, CommandsRunWhenJoined) {
   for (unsigned i = 0; i < 64; ++i) {
     EXPECT_EQ(result[i], 3 * i + 7) << i;
   }
+}
+
+TEST(Scheduler, EventJoinedStreamRetainsNoRetiredTickets) {
+  // A stream joined only through Event::wait (a cluster tenant's replays)
+  // never calls pending() or synchronize(); its retired tickets must still
+  // be dropped, or the stream grows by one ticket per launch forever.
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  Module& mod = dev.load_module("movsr %r0, %tid\nexit\n");
+  auto& stream = dev.stream();
+  for (unsigned i = 0; i < 10'000; ++i) {
+    stream.launch(mod.kernel(), 16).wait();
+  }
+  EXPECT_LE(StreamTestPeer::retained(stream), 1u);
+  EXPECT_EQ(stream.pending(), 0u);
 }
 
 TEST(Scheduler, ConcurrentJoinersRunEachCommandOnce) {

@@ -8,11 +8,14 @@
 // from lane evaluation, so the cycle model may not shift by engine).
 // The fast path itself runs twice: with the SIMD batched lane engine
 // (CoreConfig::simd_lanes, the default) and with it pinned off, so the
-// batch thunks, the guard-uniformity prescan, and the scalar fallback all
-// face the same exhaustive opcode x guard matrix.
+// batch thunks, the masked-batch select of guarded operations, the LDS/STS
+// guard-uniformity prescan, and the scalar fallback all face the same
+// exhaustive opcode x guard matrix.
 //
 // Coverage: an exhaustive opcode x guard sweep over every guardable
-// (operation/load/store class) instruction, a control-flow program covering
+// (operation/load/store class) instruction, the same sweep with the guard
+// forced to pass every lane, none, or every other lane and with the
+// destination aliasing its sources, a control-flow program covering
 // the sequencer opcodes, randomized whole-program differentials, the
 // store windows a contiguous batched store tracks in one step, and a
 // runtime-level engines-x-backends check on the FIR+scale+reduce mix.
@@ -172,13 +175,33 @@ void run_differential(const Program& prog, std::uint64_t seed,
 
 // ---- exhaustive opcode x guard matrix --------------------------------------
 
+/// The guard predicate's value over the active block: Random keeps the
+/// prologue's compare of random registers (usually divergent); the forced
+/// patterns make the guard pass every lane or none (Ones / Zeros, by guard
+/// polarity) or alternate by thread parity.
+enum class ForcedPred { Random, Ones, Zeros, Alternating };
+
+/// Destination aliasing of the instruction under test. Register forms
+/// alias rd with ra, rb, or both (forms without rb, LDS/STS included,
+/// alias rd == ra in all three); predicate forms alias pd with pa, pb, or
+/// pa == pb == the guard predicate (SETP writes the guard predicate in
+/// every aliased case).
+enum class Alias { None, DstIsA, DstIsB, DstIsBoth };
+
 /// Build a program exercising `op` under `guard`: a prologue computes a
-/// thread-varying predicate mask, memory ops get their address register
-/// masked in range, then the instruction itself runs, then EXIT.
-Program guarded_program(Opcode op, Guard guard, std::uint64_t seed) {
+/// thread-varying predicate mask (then, unless `forced` is Random, pins the
+/// guard predicate to a fixed pattern), memory ops get their address
+/// register masked in range, then the instruction itself runs, then EXIT.
+Program guarded_program(Opcode op, Guard guard, std::uint64_t seed,
+                        ForcedPred forced = ForcedPred::Random,
+                        Alias alias = Alias::None) {
   Xoshiro256 rng(seed);
+  // A forced pattern is built in r14/r15; the instruction under test reads
+  // only the random registers below them.
+  const unsigned operand_regs =
+      forced == ForcedPred::Random ? kRegs : kRegs - 2;
   const auto reg = [&] {
-    return static_cast<std::uint8_t>(rng.next_below(kRegs));
+    return static_cast<std::uint8_t>(rng.next_below(operand_regs));
   };
   std::vector<Instr> prog;
 
@@ -196,6 +219,35 @@ Program guarded_program(Opcode op, Guard guard, std::uint64_t seed) {
   in.op = op;
   in.guard = guard;
   in.gpred = static_cast<std::uint8_t>(rng.next_below(4));
+  const auto push = [&](Opcode o, std::uint8_t rd, std::uint8_t ra,
+                        std::uint8_t rb, std::int32_t imm) {
+    Instr i;
+    i.op = o;
+    i.pd = in.gpred;
+    i.rd = rd;
+    i.ra = ra;
+    i.rb = rb;
+    i.imm = imm;
+    prog.push_back(i);
+  };
+  switch (forced) {
+    case ForcedPred::Random:
+      break;
+    case ForcedPred::Ones:
+      push(Opcode::SETP_EQ, 0, 0, 0, 0);
+      break;
+    case ForcedPred::Zeros:
+      push(Opcode::SETP_NE, 0, 0, 0, 0);
+      break;
+    case ForcedPred::Alternating:  // set on odd threads
+      push(Opcode::MOVSR, 15, 0, 0,
+           static_cast<std::int32_t>(isa::SpecialReg::Tid));
+      push(Opcode::ANDI, 15, 15, 0, 1);
+      push(Opcode::MOVI, 14, 0, 0, 1);
+      push(Opcode::SETP_EQ, 0, 15, 14, 0);
+      break;
+  }
+
   const auto& info = isa::op_info(op);
   switch (info.format) {
     case Format::RRR:
@@ -257,6 +309,43 @@ Program guarded_program(Opcode op, Guard guard, std::uint64_t seed) {
       ADD_FAILURE() << "guarded_program only covers guardable formats";
       break;
   }
+  if (alias != Alias::None) {
+    if (info.writes_pd) {
+      switch (alias) {
+        case Alias::DstIsA:
+          in.pa = in.pd;
+          break;
+        case Alias::DstIsB:
+          (info.format == Format::PP ? in.pa : in.pb) = in.pd;
+          break;
+        default:
+          in.pd = in.pa = in.pb = in.gpred;
+          break;
+      }
+      if (info.format == Format::PRR) {
+        in.pd = in.gpred;
+      }
+    } else if (info.format == Format::MEM) {
+      in.rd = in.ra;  // load into / store from the masked address register
+    } else {
+      const bool has_rb =
+          info.format == Format::RRR || info.format == Format::SELP;
+      switch (alias) {
+        case Alias::DstIsA:
+          in.ra = in.rd;
+          break;
+        case Alias::DstIsB:
+          (has_rb ? in.rb : in.ra) = in.rd;
+          break;
+        default:
+          in.ra = in.rb = in.rd;
+          break;
+      }
+      if (info.format == Format::SELP && alias == Alias::DstIsBoth) {
+        in.pa = in.gpred;
+      }
+    }
+  }
   prog.push_back(in);
 
   Instr exit;
@@ -290,6 +379,45 @@ TEST(FastPathMatrix, EveryGuardableOpcodeUnderEveryGuardClass) {
   // 61 opcodes minus the 12 sequencer ones (control flow, loops, thread
   // scaling), each under 3 guard classes.
   EXPECT_EQ(covered, 3u * (61u - 12u));
+}
+
+TEST(FastPathMatrix, MaskedBatchesUnderForcedMasksAndAliasing) {
+  // Every guardable opcode (so every operation format: RRR, RRI, RR, RI,
+  // RS, PRR, PPP, PP, SELP, plus LDS/STS) under both guard polarities, with
+  // the guard predicate pinned all-set, all-clear, and alternating by
+  // thread -- so the guard passes every lane, none, or every other lane --
+  // and with the destination aliasing each source.
+  unsigned covered = 0;
+  for (int o = 0; o < isa::kOpcodeCount; ++o) {
+    const auto op = static_cast<Opcode>(o);
+    const auto& info = isa::op_info(op);
+    if (info.timing != TimingClass::Operation &&
+        info.timing != TimingClass::Load &&
+        info.timing != TimingClass::Store) {
+      continue;
+    }
+    for (const Guard guard : {Guard::IfTrue, Guard::IfFalse}) {
+      for (const ForcedPred forced :
+           {ForcedPred::Ones, ForcedPred::Zeros, ForcedPred::Alternating}) {
+        for (const Alias alias : {Alias::None, Alias::DstIsA, Alias::DstIsB,
+                                  Alias::DstIsBoth}) {
+          const auto seed = static_cast<std::uint64_t>(o) * 977 +
+                            static_cast<std::uint64_t>(guard) * 101 +
+                            static_cast<std::uint64_t>(forced) * 11 +
+                            static_cast<std::uint64_t>(alias) + 1;
+          const std::string what =
+              std::string(info.mnemonic) + " guard " +
+              std::to_string(static_cast<int>(guard)) + " pred pattern " +
+              std::to_string(static_cast<int>(forced)) + " alias " +
+              std::to_string(static_cast<int>(alias));
+          run_differential(guarded_program(op, guard, seed, forced, alias),
+                           seed, what);
+          ++covered;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered, 2u * 3u * 4u * (61u - 12u));
 }
 
 TEST(FastPathMatrix, SequencerOpcodesAgreeAcrossEngines) {
