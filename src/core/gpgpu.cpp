@@ -27,6 +27,7 @@ Gpgpu::Gpgpu(CoreConfig cfg)
   rf_data_.assign(std::size_t{cfg_.max_threads} * cfg_.regs_per_thread, 0);
   lane_scratch_.assign(cfg_.max_threads, 0);
   pred_scratch_.assign(cfg_.max_threads, 0);
+  dirty_.assign((std::size_t{cfg_.shared_mem_words} + 63) / 64, 0);
   alus_.reserve(cfg_.num_sps);
   for (unsigned sp = 0; sp < cfg_.num_sps; ++sp) {
     alus_.emplace_back(cfg_.shifter);
@@ -541,7 +542,7 @@ unsigned Gpgpu::exec_store_body(const Instr& instr, unsigned active) {
     if (kGuarded && !g.passes(preds_[t])) {
       continue;
     }
-    note_store(addrs[t]);
+    mark_dirty(addrs[t]);
     shared_.write(addrs[t], rf_read(t, instr.rd));
     ++lanes;
   }
@@ -570,30 +571,33 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
   const std::uint32_t* a = rf_row(instr.ra);
   std::uint32_t* addrs = lane_scratch_.data();
   bool oob = false;
-  bool contiguous = true;
   for (unsigned t = 0; t < active; ++t) {
     addrs[t] = a[t] + imm;
     oob |= addrs[t] >= words;
-    contiguous &= addrs[t] == addrs[0] + t;
   }
   if (oob) {
     return false;
   }
-  // The store windows the runtime reads back match the scalar body's
-  // per-lane note_store exactly; a %tid-contiguous store extends them once.
-  if (contiguous && active > 0) {
-    note_store_run(addrs[0], addrs[0] + active);
-  } else {
-    for (unsigned t = 0; t < active; ++t) {
-      note_store(addrs[t]);
-    }
-  }
   // Scatter in thread order straight into the image: identical to
   // stage-all-then-commit (highest lane wins on address conflicts, and
-  // stores never read shared memory within the instruction).
+  // stores never read shared memory within the instruction). Dirty bits
+  // collect in a register while consecutive lanes share a bitmap word, so
+  // a run of lanes is one bitmap write per 64 words rather than a chain of
+  // read-modify-writes to one word.
   const std::uint32_t* data = rf_row(instr.rd);
+  std::uint32_t word = 0;
+  std::uint64_t bits = 0;
   for (unsigned t = 0; t < active; ++t) {
+    if (addrs[t] >> 6 != word) {
+      dirty_[word] |= bits;
+      word = addrs[t] >> 6;
+      bits = 0;
+    }
+    bits |= std::uint64_t{1} << (addrs[t] & 63);
     shared_.write_lane(addrs[t], data[t]);
+  }
+  if (bits != 0) {
+    dirty_[word] |= bits;
   }
   lanes = active;
   return true;
@@ -610,111 +614,30 @@ unsigned Gpgpu::exec_store(const Instr& instr, unsigned active) {
                                     : exec_store_body<false>(instr, active);
 }
 
-void Gpgpu::note_store(std::uint32_t addr) {
-  // Track the write shard as a handful of coalesced windows. Extend the
-  // nearest window when the store lands inside or within the gap of one;
-  // otherwise open a new window, merging the two closest windows first if
-  // every slot is taken. All loops are over kStoreWindows entries, so the
-  // per-store cost is constant.
-  unsigned best = kStoreWindows;
-  std::uint32_t best_dist = kStoreWindowGap + 1;
-  for (unsigned i = 0; i < store_win_count_; ++i) {
-    auto& [lo, hi] = store_win_[i];
-    if (addr >= lo && addr < hi) {
-      return;
-    }
-    const std::uint32_t dist = addr < lo ? lo - addr : addr - hi + 1;
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = i;
-    }
-  }
-  if (best < kStoreWindows) {
-    // Grow the nearest window, absorbing any sibling the growth touches.
-    std::uint32_t lo = std::min(store_win_[best].first, addr);
-    std::uint32_t hi = std::max(store_win_[best].second, addr + 1);
-    store_win_[best] = store_win_[--store_win_count_];
-    for (unsigned i = 0; i < store_win_count_;) {
-      if (store_win_[i].first < hi && lo < store_win_[i].second) {
-        lo = std::min(lo, store_win_[i].first);
-        hi = std::max(hi, store_win_[i].second);
-        store_win_[i] = store_win_[--store_win_count_];
-      } else {
-        ++i;
+std::vector<std::pair<std::uint32_t, std::uint32_t>> Gpgpu::dirty_runs()
+    const {
+  // The first address at or after `a` whose dirty bit equals `set` (the
+  // bitmap's bit count when there is none). Padding bits past the last
+  // shared-memory word are never set, so no run crosses into them.
+  const auto bits = static_cast<std::uint32_t>(dirty_.size() * 64);
+  const auto next = [&](std::uint32_t a, bool set) {
+    while (a < bits) {
+      const std::uint64_t word = set ? dirty_[a >> 6] : ~dirty_[a >> 6];
+      const std::uint64_t rest = word & (~std::uint64_t{0} << (a & 63));
+      if (rest != 0) {
+        return (a & ~63u) + static_cast<std::uint32_t>(std::countr_zero(rest));
       }
+      a = (a & ~63u) + 64;
     }
-    store_win_[store_win_count_++] = {lo, hi};
-    return;
+    return bits;
+  };
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  for (std::uint32_t lo = next(0, true); lo < bits;) {
+    const std::uint32_t hi = next(lo, false);
+    runs.emplace_back(lo, hi);
+    lo = next(hi, true);
   }
-  if (store_win_count_ < kStoreWindows) {
-    store_win_[store_win_count_++] = {addr, addr + 1};
-    return;
-  }
-  // All slots taken and the store is far from every window: merge the two
-  // closest windows and open a fresh one in the freed slot.
-  unsigned a = 0, b = 1;
-  std::uint64_t min_gap = ~0ull;
-  for (unsigned i = 0; i < store_win_count_; ++i) {
-    for (unsigned j = i + 1; j < store_win_count_; ++j) {
-      const auto& [ilo, ihi] = store_win_[i];
-      const auto& [jlo, jhi] = store_win_[j];
-      const std::uint64_t gap =
-          ihi <= jlo ? jlo - ihi : (jhi <= ilo ? ilo - jhi : 0);
-      if (gap < min_gap) {
-        min_gap = gap;
-        a = i;
-        b = j;
-      }
-    }
-  }
-  store_win_[a] = {std::min(store_win_[a].first, store_win_[b].first),
-                   std::max(store_win_[a].second, store_win_[b].second)};
-  store_win_[b] = {addr, addr + 1};
-}
-
-void Gpgpu::note_store_run(std::uint32_t lo, std::uint32_t hi) {
-  // Equivalent to note_store(a) for a = lo .. hi-1 in order, in window
-  // contents and slot order. Lanes inside a window are no-ops. After a
-  // lane opens or grows the last-slot window W to end at `a`, each later
-  // lane sits at distance 1 from W and per-lane tracking would grow W by
-  // one word at a time -- until the lane one short of a window V above
-  // (a tie at distance 1, which the lower slot V wins) or a lane inside V.
-  // Any other shape (a sibling touching or overlapping W, or W not in the
-  // last slot after the merge path) falls back to one per-lane step.
-  std::uint32_t a = lo;
-  while (a < hi) {
-    bool inside = false;
-    for (unsigned i = 0; i < store_win_count_; ++i) {
-      if (a >= store_win_[i].first && a < store_win_[i].second) {
-        a = store_win_[i].second;
-        inside = true;
-        break;
-      }
-    }
-    if (inside) {
-      continue;
-    }
-    note_store(a++);
-    auto& w = store_win_[store_win_count_ - 1];
-    if (a == hi || w.second != a) {
-      continue;
-    }
-    std::uint32_t limit = hi;
-    for (unsigned i = 0; i + 1 < store_win_count_ && limit > a; ++i) {
-      const auto& [vlo, vhi] = store_win_[i];
-      if (vlo < a) {
-        if (vhi > w.first) {
-          limit = a;  // V overlaps W or ends at a: one per-lane step
-        }
-      } else {
-        limit = std::min(limit, vlo - 1);  // a <= vlo - 1 ties with V
-      }
-    }
-    if (limit > a) {
-      w.second = limit;
-      a = limit;
-    }
-  }
+  return runs;
 }
 
 std::uint64_t Gpgpu::producer_bound(const ProducerRecord& p, unsigned my_width,
@@ -812,7 +735,7 @@ RunResult Gpgpu::run(std::uint32_t entry, std::uint64_t max_instructions) {
 
   fetch_.reset(entry);
   active_threads_ = launch_threads_;
-  store_win_count_ = 0;
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   std::fill(reg_producer_.begin(), reg_producer_.end(), ProducerRecord{});
   pred_producer_.fill(ProducerRecord{});
   store_producer_ = ProducerRecord{};

@@ -89,19 +89,11 @@ class Gpgpu {
   RunResult run(std::uint32_t entry = 0,
                 std::uint64_t max_instructions = 1'000'000'000);
 
-  /// Coalesced half-open windows [lo, hi) of shared-memory addresses the
-  /// last run() stored to -- the core's write shard (empty when nothing
-  /// was stored). A host runtime merging several cores' results reads
-  /// back only these windows instead of diffing the whole memory image.
-  /// Bounded at kStoreWindows so the per-store bookkeeping stays O(1): a
-  /// kernel writing an output array plus a far-away flag word yields two
-  /// tight windows, not one image-sized one.
-  static constexpr unsigned kStoreWindows = 4;
-  /// Windows closer than this merge into one (a DMA prefers few bursts).
-  static constexpr std::uint32_t kStoreWindowGap = 32;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> store_windows() const {
-    return {store_win_.begin(), store_win_.begin() + store_win_count_};
-  }
+  /// Sorted, maximal half-open runs [lo, hi) of the shared-memory words the
+  /// last run() stored to: the core's exact write set (empty when nothing
+  /// was stored). A host runtime merging several cores' results reads back
+  /// exactly these words.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty_runs() const;
 
   // ---- host (backdoor) access -------------------------------------------
   std::uint32_t read_shared(std::uint32_t addr) const;
@@ -216,17 +208,15 @@ class Gpgpu {
   FetchDecode fetch_;
   unsigned launch_threads_;
   unsigned active_threads_;
-  void note_store(std::uint32_t addr);
-  /// note_store for every address of [lo, hi) in order, in O(windows).
-  void note_store_run(std::uint32_t lo, std::uint32_t hi);
+  void mark_dirty(std::uint32_t addr) {
+    dirty_[addr >> 6] |= std::uint64_t{1} << (addr & 63);
+  }
 
   std::uint32_t thread_base_ = 0;
   std::uint32_t smid_ = 0;
   std::uint32_t ntid_override_ = 0;
-  /// Write-shard windows of the last run (first store_win_count_ valid).
-  std::array<std::pair<std::uint32_t, std::uint32_t>, kStoreWindows>
-      store_win_{};
-  unsigned store_win_count_ = 0;
+  /// One bit per shared-memory word, set by every store of the last run.
+  std::vector<std::uint64_t> dirty_;
 
   std::vector<ProducerRecord> reg_producer_;   ///< per architectural register
   std::array<ProducerRecord, isa::kNumPredRegs> pred_producer_{};

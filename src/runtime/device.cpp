@@ -150,9 +150,11 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   const unsigned capacity = max_concurrent_threads();
   const unsigned num_cores = sys_.num_cores();
   // With a declared footprint, a round stages only the stale words the
-  // kernel may actually touch: reads for its inputs, writes so the
-  // post-round store-window diff runs against an up-to-date image. The
-  // rest stays in the shard map for whichever later launch needs it.
+  // kernel may actually touch: its reads and its writes. The rest stays in
+  // the shard map for whichever later launch needs it. The merge reads back
+  // exactly the stored words and does not need the write ranges current;
+  // they are staged anyway, since dropping them would change the modeled
+  // staging traffic (staged_words).
   // Thread-independent ranges are shared by every core; per-thread
   // (`@tid`) declarations are expanded against each core's thread slice
   // below, so a core ships only the slice it covers.
@@ -213,7 +215,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     // copying only its stale ranges from the master (the shard map),
     // then shard the grid by %tid base.
     std::vector<system::Dispatch> dispatches;
-    std::vector<unsigned> slice_lo(num_cores, 0);  ///< per-core %tid base
     unsigned base = done;
     for (unsigned c = 0; c < cores_used; ++c) {
       if (sizes[c] == 0) {
@@ -268,7 +269,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       }
       out.per_core[c].host_stage_us += host_us_since(stage_t0);
       dispatches.push_back({c, sizes[c], entry});
-      slice_lo[c] = base;
       base += sizes[c];
     }
 
@@ -295,81 +295,45 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
 
     const auto merge_t0 = std::chrono::steady_clock::now();
 
-    // Merge: read back each core's write shard (the store windows the
-    // core tracked during the run), diff it against the pre-round master,
-    // fold the changes in (later cores win on conflicts), and mark the
-    // changed ranges stale for the sibling cores.
-    struct Shard {
-      unsigned core;
-      std::uint32_t lo;
-      std::vector<std::uint32_t> data;    ///< core memory in the window
-      std::vector<std::uint32_t> before;  ///< pre-round master in the window
-    };
-    std::vector<Shard> shards;
+    // Merge: in dispatch order, read back each core's exact write set and
+    // fold every stored word that differs from the current master into it,
+    // so on a word two cores stored the higher %tid slice wins. Changed
+    // runs are marked stale for the sibling cores.
+    RangeSet merged_now;
+    std::vector<std::uint32_t> stored;
     for (const auto& d : dispatches) {
       auto& gpu = sys_.core(d.core);
       std::uint64_t merged = 0;
-      // With a declared footprint, clip each hardware store window to the
-      // declared write set: window gaps (the tracker coalesces nearby
-      // stores) may cover words this core's image is legitimately stale
-      // on, and diffing those against the master would fold old data back
-      // in. Stores outside the declared .writes are undefined behavior.
-      RangeSet windows;
-      for (const auto& [lo, hi] : gpu.store_windows()) {
-        windows.insert(lo, hi);
+      RangeSet changed;
+      for (const auto& [lo, hi] : gpu.dirty_runs()) {
+        stored.resize(hi - lo);
+        gpu.read_shared_span(lo, stored);
+        merged += hi - lo;
+        std::uint32_t a = lo;
+        while (a < hi) {
+          if (stored[a - lo] == master_[a]) {
+            ++a;
+            continue;
+          }
+          const std::uint32_t start = a;
+          for (; a < hi && stored[a - lo] != master_[a]; ++a) {
+            master_[a] = stored[a - lo];
+          }
+          changed.insert(start, a);
+        }
       }
-      if (footprint.declared) {
-        // Clip to what THIS core may write: the static write ranges plus
-        // its own slice of the per-thread (`@tid`) write declarations.
-        const RangeSet writable = union_sets(
-            footprint.writes,
-            slice_ranges(footprint.sliced_writes, slice_lo[d.core],
-                         slice_lo[d.core] + d.threads));
-        windows = intersect_sets(windows, writable);
-      }
-      for (const auto& w : windows.ranges()) {
-        Shard s;
-        s.core = d.core;
-        s.lo = w.lo;
-        s.data.resize(w.words());
-        gpu.read_shared_span(w.lo, s.data);
-        s.before.assign(master_.begin() + w.lo, master_.begin() + w.hi);
-        merged += s.data.size();
-        shards.push_back(std::move(s));
+      for (const auto& r : changed.ranges()) {
+        merged_now.insert(r.lo, r.hi);
+        for (unsigned c = 0; c < num_cores; ++c) {
+          if (c != d.core) {
+            stale_[c].insert(r.lo, r.hi);
+          }
+        }
       }
       out.per_core[d.core].merged_words += merged;
       out.merged_words += merged;
       costs[d.core].merge_cycles =
           staging_cycles(merged, staging_words_per_cycle_);
-    }
-    RangeSet merged_now;
-    for (const auto& s : shards) {
-      // Fold changed words into the master and collect them as ranges for
-      // the sibling shard maps (RangeSet coalesces nearby runs).
-      RangeSet changed;
-      std::size_t w = 0;
-      while (w < s.data.size()) {
-        if (s.data[w] == s.before[w]) {
-          ++w;
-          continue;
-        }
-        std::size_t end = w;
-        while (end < s.data.size() && s.data[end] != s.before[end]) {
-          master_[s.lo + end] = s.data[end];
-          ++end;
-        }
-        changed.insert(s.lo + static_cast<std::uint32_t>(w),
-                       s.lo + static_cast<std::uint32_t>(end));
-        w = end;
-      }
-      for (const auto& r : changed.ranges()) {
-        merged_now.insert(r.lo, r.hi);
-        for (unsigned c = 0; c < num_cores; ++c) {
-          if (c != s.core) {
-            stale_[c].insert(r.lo, r.hi);
-          }
-        }
-      }
     }
     merged_prev = std::move(merged_now);
     out.host_merge_us += host_us_since(merge_t0);

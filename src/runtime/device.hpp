@@ -74,7 +74,7 @@ struct CoreLaunchStats {
   unsigned core = 0;
   std::uint64_t exec_cycles = 0;   ///< kernel cycles, summed over rounds
   std::uint64_t staged_words = 0;  ///< incremental copy-in to this core
-  std::uint64_t merged_words = 0;  ///< write-shard read-back from this core
+  std::uint64_t merged_words = 0;  ///< words this core stored (read back)
   unsigned rounds = 0;             ///< rounds this core participated in
   /// exec_cycles over the launch's critical-path exec cycles: how busy the
   /// core was while the launch ran (1.0 = never waiting on siblings).
@@ -98,7 +98,7 @@ struct LaunchStats {
   // the single-core and scalar engines stage through the host interface
   // before the launch (see Scheduler's stream-level timeline).
   std::uint64_t staged_words = 0;  ///< incremental per-core copy-in traffic
-  std::uint64_t merged_words = 0;  ///< write-shard read-back traffic
+  std::uint64_t merged_words = 0;  ///< stored words read back at merge
   /// Stale words the conservative path would have restaged but the
   /// kernel's declared read/write footprint let the runtime skip (they
   /// stay in the shard maps for whoever does need them).
@@ -232,13 +232,15 @@ class SimtCoreBackend final : public DeviceBackend {
 /// memory image, but each core keeps a persistent private copy of it: a
 /// per-core shard map (RangeSet of stale words) records exactly what the
 /// core has not seen yet, so staging a round copies increments instead of
-/// re-broadcasting the image. After a round, each core's write shard (the
-/// Gpgpu store window) is diffed against the pre-round image and folded
-/// back into the master (later cores win on a conflicting address --
-/// kernels with disjoint output ranges are exact), and the changed ranges
-/// are marked stale for the sibling cores. Launch roll-ups carry the
-/// modeled staging pipeline (LaunchStats::serial/overlap_cycles) and
-/// per-core occupancy.
+/// re-broadcasting the image. After a round, each core's exact write set
+/// (Gpgpu::dirty_runs) is read back and every stored word that differs from
+/// the master is folded in, core by core in dispatch order; the changed
+/// ranges are marked stale for the sibling cores. Stores outside a kernel's
+/// declared `.writes` merge exactly like declared ones. Conflict rule: when
+/// two cores store one word in a round, the core with the higher `%tid`
+/// slice wins -- the single-core write mux's highest-thread rule, so every
+/// backend leaves the same value. Launch roll-ups carry the modeled staging
+/// pipeline (LaunchStats::serial/overlap_cycles) and per-core occupancy.
 class MultiCoreBackend final : public DeviceBackend {
  public:
   MultiCoreBackend(const system::SystemConfig& cfg,

@@ -7,8 +7,8 @@
 // copies exactly those ranges. model_pipeline() then prices the rounds two
 // ways: the serial PR-1 shape (stage, execute, merge back to back) and the
 // double-buffered shape, where each core's DMA engine prefetches round
-// N+1's staging while round N executes and reads the write shard back
-// afterwards -- the overlap-adjusted wall clock LaunchStats reports.
+// N+1's staging while round N executes and reads the core's stored words
+// back afterwards -- the overlap-adjusted wall clock LaunchStats reports.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,7 @@ struct RoundCost {
   std::uint64_t stage_early_cycles = 0;  ///< prefetchable copy-in
   std::uint64_t stage_late_cycles = 0;   ///< depends on round r-1's merges
   std::uint64_t exec_cycles = 0;         ///< the core's kernel run
-  std::uint64_t merge_cycles = 0;        ///< write-shard read-back
+  std::uint64_t merge_cycles = 0;        ///< stored-word read-back
 };
 
 struct PipelineModel {

@@ -17,8 +17,9 @@
 // forced to pass every lane, none, or every other lane and with the
 // destination aliasing its sources, a control-flow program covering
 // the sequencer opcodes, randomized whole-program differentials, the
-// store windows a contiguous batched store tracks in one step, and a
-// runtime-level engines-x-backends check on the FIR+scale+reduce mix.
+// exact dirty-word runs scattered and contiguous stores leave (including
+// runs at the bitmap's 64-bit word edges), and a runtime-level
+// engines-x-backends check on the FIR+scale+reduce mix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,11 +137,11 @@ void run_differential(const Program& prog, std::uint64_t seed,
   ASSERT_TRUE(ra.exited) << what;
   expect_perf_eq(rf.perf, ra.perf, what);
   expect_perf_eq(rf.perf, rs.perf, what + " (simd vs scalar lanes)");
-  // The write shard a runtime merges back: same windows, same slot order.
-  EXPECT_EQ(fast.store_windows(), accurate.store_windows())
-      << what << " (store windows vs bit-accurate)";
-  EXPECT_EQ(fast.store_windows(), scalar_fast.store_windows())
-      << what << " (store windows vs scalar lanes)";
+  // The exact write set a runtime merges back.
+  EXPECT_EQ(fast.dirty_runs(), accurate.dirty_runs())
+      << what << " (dirty runs vs bit-accurate)";
+  EXPECT_EQ(fast.dirty_runs(), scalar_fast.dirty_runs())
+      << what << " (dirty runs vs scalar lanes)";
 
   for (unsigned t = 0; t < kThreads; ++t) {
     for (unsigned r = 0; r < kRegs; ++r) {
@@ -605,7 +606,7 @@ TEST_P(FastPathRandom, EnginesMatchOnRandomPrograms) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathRandom,
                          ::testing::Range<std::uint64_t>(1, 17));
 
-// ---- store-window tracking -------------------------------------------------
+// ---- dirty-word tracking ---------------------------------------------------
 
 /// `lanes` threads store to `base + stride * %tid`: one word when stride is
 /// 0 or lanes is 1, else a span (stride 1 is itself a contiguous run).
@@ -615,11 +616,10 @@ struct ScatterStore {
   unsigned stride;
 };
 
-/// Scatter stores into a few windows, then one %tid-contiguous STS of
-/// `run_lanes` words at `run_base`. The batched engine tracks that run in
-/// one step; the scalar-lane and bit-accurate engines track it per lane.
-Program window_program(const std::vector<ScatterStore>& scatter,
-                       std::uint32_t run_base, unsigned run_lanes) {
+/// Each scatter store in order, then one %tid-contiguous STS of `run_lanes`
+/// words at `run_base`.
+Program store_program(const std::vector<ScatterStore>& scatter,
+                      std::uint32_t run_base, unsigned run_lanes) {
   std::string src = "movsr %r0, %tid\n";
   for (const auto& s : scatter) {
     src += "setti " + std::to_string(s.lanes) + "\n";
@@ -632,52 +632,82 @@ Program window_program(const std::vector<ScatterStore>& scatter,
   return assembler::assemble(src);
 }
 
-using Windows = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+using Runs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-Windows fast_windows(const Program& prog) {
-  Gpgpu gpu(engine_cfg(false));
-  gpu.load_program(prog);
-  gpu.set_thread_count(kThreads);
-  EXPECT_TRUE(gpu.run().exited);
-  return gpu.store_windows();
+/// The maximal runs of every address store_program stores to, worked out
+/// from the addresses alone.
+Runs stored_runs(const std::vector<ScatterStore>& scatter,
+                 std::uint32_t run_base, unsigned run_lanes, unsigned words) {
+  std::vector<bool> stored(words, false);
+  for (const auto& s : scatter) {
+    for (unsigned t = 0; t < s.lanes; ++t) {
+      stored[s.base + s.stride * t] = true;
+    }
+  }
+  for (unsigned t = 0; t < run_lanes; ++t) {
+    stored[run_base + t] = true;
+  }
+  Runs runs;
+  for (std::uint32_t a = 0; a < words; ++a) {
+    if (!stored[a]) {
+      continue;
+    }
+    if (!runs.empty() && runs.back().second == a) {
+      runs.back().second = a + 1;
+    } else {
+      runs.emplace_back(a, a + 1);
+    }
+  }
+  return runs;
 }
 
-TEST(FastPath, StoreWindowRunsMatchPerLaneTracking) {
+/// dirty_runs() after running `prog` on `threads` threads of `cfg`.
+Runs dirty_runs_of(const CoreConfig& cfg, const Program& prog,
+                   unsigned threads) {
+  Gpgpu gpu(cfg);
+  gpu.load_program(prog);
+  gpu.set_thread_count(threads);
+  EXPECT_TRUE(gpu.run().exited);
+  return gpu.dirty_runs();
+}
+
+TEST(FastPath, DirtyRunsAreTheExactStoredWords) {
   struct Case {
     const char* what;
     std::vector<ScatterStore> scatter;
     std::uint32_t run_base;
     unsigned run_lanes;
-    Windows expected;
+    Runs expected;
   };
   const std::vector<Case> cases = {
-      {"run starts inside a window", {{100, 10, 1}}, 105, 64, {{100, 169}}},
-      {"run ends one word short of a later window",
-       {{300, 1, 0}}, 236, 63, {{300, 301}, {236, 299}}},
-      {"run's last lane ties with a later window",
-       {{300, 1, 0}}, 237, 63, {{237, 299}, {299, 301}}},
-      {"run spans a sibling window",
-       {{100, 10, 1}, {150, 10, 1}}, 100, 64, {{100, 149}, {149, 164}}},
-      // The merge path leaves [0, 101) overlapping the fresh {50}; the run's
-      // first growth absorbs it and reorders the slots.
-      {"run absorbs a sibling",
-       {{0, 1, 0}, {100, 1, 0}, {500, 1, 0}, {900, 1, 0}, {50, 1, 0}},
-       90, 20, {{900, 901}, {500, 501}, {0, 110}}},
-      // Four windows taken: the run's first lane merges the closest pair
-      // and opens in slot 1; its next lane moves it to the last slot.
-      {"run with all four slots taken",
-       {{0, 1, 0}, {200, 1, 0}, {400, 1, 0}, {600, 1, 0}},
-       800, 64, {{0, 201}, {600, 601}, {400, 401}, {800, 864}}},
+      {"run starts inside a stored span", {{100, 10, 1}}, 105, 64,
+       {{100, 169}}},
+      {"run ends one word short of a stored word", {{300, 1, 0}}, 236, 63,
+       {{236, 299}, {300, 301}}},
+      {"run ends next to a stored word", {{300, 1, 0}}, 237, 63,
+       {{237, 301}}},
+      {"run spans two stored spans", {{100, 10, 1}, {150, 10, 1}}, 100, 64,
+       {{100, 164}}},
+      {"five separate regions",
+       {{0, 1, 0}, {100, 1, 0}, {500, 1, 0}, {900, 1, 0}, {50, 1, 0}}, 90,
+       20, {{0, 1}, {50, 51}, {90, 110}, {500, 501}, {900, 901}}},
+      {"stride-2 span leaves one-word gaps", {{400, 4, 2}, {16, 8, 0}}, 800,
+       64, {{16, 17}, {400, 401}, {402, 403}, {404, 405}, {406, 407},
+            {800, 864}}},
   };
   for (const auto& c : cases) {
-    const auto prog = window_program(c.scatter, c.run_base, c.run_lanes);
-    EXPECT_EQ(fast_windows(prog), c.expected) << c.what;
+    ASSERT_EQ(stored_runs(c.scatter, c.run_base, c.run_lanes, kSharedWords),
+              c.expected)
+        << c.what;
+    const auto prog = store_program(c.scatter, c.run_base, c.run_lanes);
+    EXPECT_EQ(dirty_runs_of(engine_cfg(false), prog, kThreads), c.expected)
+        << c.what;
     run_differential(prog, 0x71d5, c.what);
   }
 
   // Seeded: 1-4 scatter stores (single words, stride-2 and stride-0
   // spans), then a contiguous run anywhere, often landing in or beside
-  // the windows the scatter left.
+  // the words the scatter stored.
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Xoshiro256 rng(seed);
     std::vector<ScatterStore> scatter;
@@ -695,9 +725,64 @@ TEST(FastPath, StoreWindowRunsMatchPerLaneTracking) {
         rng.chance(0.5) ? scatter[0].base + rng.next_below(40)
                         : rng.next_below(kSharedWords));
     run_base = std::min<std::uint32_t>(run_base, kSharedWords - run_lanes);
-    run_differential(window_program(scatter, run_base, run_lanes), seed,
-                     "window seed " + std::to_string(seed));
+    const auto prog = store_program(scatter, run_base, run_lanes);
+    const std::string what = "store seed " + std::to_string(seed);
+    EXPECT_EQ(dirty_runs_of(engine_cfg(false), prog, kThreads),
+              stored_runs(scatter, run_base, run_lanes, kSharedWords))
+        << what;
+    run_differential(prog, seed, what);
   }
+}
+
+TEST(FastPath, DirtyRunsAtBitmapEdges) {
+  // 400 threads over 400 words: one contiguous store can cover the whole
+  // memory, and the memory ends 16 words into its last 64-bit bitmap word.
+  constexpr unsigned kEdgeWords = 400;
+  CoreConfig cfg = engine_cfg(false);
+  cfg.max_threads = kEdgeWords;
+  cfg.shared_mem_words = kEdgeWords;
+  CoreConfig scalar_cfg = cfg;
+  scalar_cfg.simd_lanes = false;
+  CoreConfig accurate_cfg = cfg;
+  accurate_cfg.bit_accurate = true;
+
+  struct Case {
+    const char* what;
+    std::vector<ScatterStore> scatter;
+    std::uint32_t run_base;
+    unsigned run_lanes;
+  };
+  const std::vector<Case> cases = {
+      {"run crossing one bitmap word", {}, 60, 8},
+      {"runs ending and starting on a bitmap word", {{0, 64, 1}}, 128, 64},
+      {"run spanning several bitmap words", {{3, 2, 1}}, 10, 300},
+      {"store to the last word", {{0, 1, 0}}, kEdgeWords - 1, 1},
+      {"run ending at the last word", {{1, 1, 0}}, kEdgeWords - 77, 77},
+      {"full-memory contiguous store", {{7, 1, 0}}, 0, kEdgeWords},
+  };
+  for (const auto& c : cases) {
+    const auto prog = store_program(c.scatter, c.run_base, c.run_lanes);
+    const Runs expected =
+        stored_runs(c.scatter, c.run_base, c.run_lanes, kEdgeWords);
+    EXPECT_EQ(dirty_runs_of(cfg, prog, kEdgeWords), expected) << c.what;
+    EXPECT_EQ(dirty_runs_of(scalar_cfg, prog, kEdgeWords), expected)
+        << c.what << " (scalar lanes)";
+    EXPECT_EQ(dirty_runs_of(accurate_cfg, prog, kEdgeWords), expected)
+        << c.what << " (bit-accurate)";
+  }
+  EXPECT_EQ(stored_runs({}, 0, kEdgeWords, kEdgeWords),
+            (Runs{{0, kEdgeWords}}));
+
+  // Each run starts from a clean bitmap, and a trapping store marks nothing.
+  Gpgpu gpu(cfg);
+  gpu.load_program(store_program({}, 200, 8));
+  EXPECT_TRUE(gpu.run().exited);
+  gpu.load_program(store_program({}, 20, 4));
+  EXPECT_TRUE(gpu.run().exited);
+  EXPECT_EQ(gpu.dirty_runs(), (Runs{{20, 24}}));
+  gpu.load_program(store_program({{5, 1, 0}}, kEdgeWords - 2, 4));
+  EXPECT_THROW(gpu.run(), Error);
+  EXPECT_EQ(gpu.dirty_runs(), (Runs{{5, 6}}));
 }
 
 // ---- decoded image mechanics -----------------------------------------------

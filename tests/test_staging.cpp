@@ -3,6 +3,8 @@
 // against ground truth -- a host-golden image of the whole memory and the
 // single-core simt_core backend run on the same inputs -- across random
 // host dirty ranges, declared (`@tid`) footprints, and multi-round grids.
+// Two fixed kernels pin the merge on all three backends: a store conflict
+// across cores, and a store outside the declared `.writes`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,6 +158,62 @@ TEST(Staging, DeclaredFootprintMatchesGolden) {
   for (const std::uint64_t seed : {7ull, 8ull, 9ull, 0x5eedull}) {
     run_scenario(seed, /*declared_abi=*/true,
                  "declared seed " + std::to_string(seed));
+  }
+}
+
+/// One device per backend, each with kMemWords of memory: the multicore
+/// merge must leave what the single core and the scalar sweep leave.
+std::vector<DeviceDescriptor> every_backend() {
+  baseline::ScalarCpuConfig scalar;
+  scalar.shared_mem_words = kMemWords;
+  return {multicore_desc(), DeviceDescriptor::simt_core(small_cfg()),
+          DeviceDescriptor::scalar_cpu(scalar)};
+}
+
+TEST(Staging, CrossCoreStoreConflictHighestThreadWins) {
+  // Every thread of a 128-thread grid (4 cores x 32 threads) stores
+  // %tid ^ 127 to word 100. Thread 127, in the highest core's slice, wins
+  // with 0 -- the value the word already held, so a merge that folds only
+  // words changed against the pre-round image would keep core 2's 32.
+  for (const auto& desc : every_backend()) {
+    Device dev(desc);
+    Module& mod = dev.load_module(
+        "movsr %r0, %tid\n"
+        "xori %r1, %r0, 127\n"
+        "movi %r2, 0\n"
+        "sts [%r2 + 100], %r1\n"
+        "exit\n");
+    ASSERT_TRUE(dev.launch_sync(mod.kernel(), 4 * kThreadsPerCore).exited);
+    EXPECT_EQ(read_all(dev)[100], 0u) << dev.backend().name();
+  }
+}
+
+TEST(Staging, StoreOutsideDeclaredWritesMergesExactly) {
+  // The kernel declares only `out@tid` but also stores 77 to word 1500:
+  // every stored word merges, declared or not.
+  for (const auto& desc : every_backend()) {
+    Device dev(desc);
+    auto out = dev.alloc<std::uint32_t>(4 * kThreadsPerCore);
+    Module& mod = dev.load_module(
+        ".kernel k\n"
+        ".param out buffer\n"
+        ".writes out@tid\n"
+        "movsr %r0, %tid\n"
+        "sts [%r0 + $out], %r0\n"
+        "movi %r1, 77\n"
+        "movi %r2, 0\n"
+        "sts [%r2 + 1500], %r1\n"
+        "exit\n");
+    ASSERT_LT(out.word_base() + out.size(), 1500u);
+    ASSERT_LT(1500u, dev.param_window_base());
+    ASSERT_TRUE(dev.launch_sync(mod.kernel("k"), 4 * kThreadsPerCore,
+                                KernelArgs().arg(out))
+                    .exited);
+    const auto image = read_all(dev);
+    EXPECT_EQ(image[1500], 77u) << dev.backend().name();
+    for (unsigned t = 0; t < 4 * kThreadsPerCore; ++t) {
+      ASSERT_EQ(image[out.word_base() + t], t) << dev.backend().name();
+    }
   }
 }
 
